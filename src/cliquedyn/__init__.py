@@ -9,7 +9,7 @@ from .charts import (
     find_standard_charts,
     neighbour_triangles,
 )
-from .cliques import BudgetError, IterationTrace, clique_graph, iterate_k, max_cliques
+from .cliques import IterationTrace, clique_graph, iterate_k, max_cliques
 from .covers import (
     CoverBall,
     CoverError,
@@ -51,6 +51,7 @@ from .hexgrid import (
     triangle_inclusion,
 )
 from .isomorphism import (
+    BudgetError,
     BudgetExceededError,
     canonical_hash,
     find_isomorphism,

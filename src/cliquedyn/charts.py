@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .graph import Graph, closed_neighbourhood, induced_subgraph
 from .hexgrid import (
-    BASIS,
     UNIT_STEPS,
     Coord,
     add,
@@ -24,10 +23,11 @@ from .hexgrid import (
     delta_graph,
     flipped_delta_coords,
     gen_delta,
+    side_of,
     sub,
 )
 from .isomorphism import induced_embeddings, induced_images
-from .surface import SurfaceReport, boundary_distance, validate_surface
+from .surface import SurfaceReport, boundary_distance, facets, validate_surface
 
 
 class ChartError(ValueError):
@@ -89,18 +89,8 @@ class Chart:
         return f"<Chart m={self.m} image={sorted(self.image)[:4]}...>"
 
 
-@lru_cache(maxsize=32)
-def _host_surface(g: Graph) -> SurfaceReport:
-    return validate_surface(g)
-
-
-@lru_cache(maxsize=32)
-def _host_boundary_distance(g: Graph) -> dict[int, float]:
-    return boundary_distance(g, _host_surface(g))
-
-
 def _require_patch_surface(g: Graph) -> SurfaceReport:
-    report = _host_surface(g)
+    report = validate_surface(g)
     if report.invalid_vertices:
         raise ChartError(
             f"host is not locally cyclic with boundary (vertex {report.invalid_vertices[0]})"
@@ -109,7 +99,7 @@ def _require_patch_surface(g: Graph) -> SurfaceReport:
 
 
 def min_boundary_distance(g: Graph, support) -> float:
-    dist = _host_boundary_distance(g)
+    dist = boundary_distance(g)
     return min(dist[v] for v in support)
 
 
@@ -169,11 +159,9 @@ def find_standard_charts(g: Graph, m: int) -> list[Chart]:
     if m == 0:
         return [Chart(0, {(0, 0, 0): v}, g) for v in g.vertices]
     _require_patch_surface(g)
-    from .surface import facets as _facets
-
     charts = []
     corner, c1, c2 = (m, 0, 0), (m - 1, 1, 0), (m - 1, 0, 1)
-    for f in _facets(g):
+    for f in facets(g):
         a, b, c = f
         for u, v, w in (
             (a, b, c),
@@ -205,22 +193,15 @@ def charts_by_image(charts: list[Chart]) -> dict[frozenset[int], list[Chart]]:
 def chart_of_support(g: Graph, support) -> Chart:
     """Some chart whose image is exactly ``support`` (raises if none)."""
     support = frozenset(support)
-    m = _side_from_size(len(support))
+    m = side_of(len(support))
+    if m is None:
+        raise ChartError(f"{len(support)} vertices cannot form a triangular patch")
     region = gen_delta(m)
     sub = induced_subgraph(g, support)
     for emb in induced_embeddings(region.graph, sub, limit=1):
         mapping = {region.coord_of[i]: emb[i] for i in emb}
         return Chart(m, mapping, g)
     raise ChartError(f"support of size {len(support)} is not a side-{m} triangle")
-
-
-def _side_from_size(size: int) -> int:
-    m = 0
-    while (m + 1) * (m + 2) // 2 < size:
-        m += 1
-    if (m + 1) * (m + 2) // 2 != size:
-        raise ChartError(f"{size} vertices cannot form a triangular patch")
-    return m
 
 
 class ExtendedChart:
@@ -347,9 +328,9 @@ def neighbour_triangles(g: Graph, support) -> list[frozenset[int]]:
     neighbourhood (at most 21 vertices); larger sizes go through chart
     extension."""
     support = frozenset(support)
-    m = _side_from_size(len(support))
-    if m < 1:
-        raise ChartError("neighbour enumeration needs side length at least 1")
+    m = side_of(len(support))
+    if m is None or m < 1:
+        raise ChartError("neighbour enumeration needs a triangle of side at least 1")
     report = _require_patch_surface(g)
     if m <= 2:
         if report.boundary.n and min_boundary_distance(g, support) < 1:

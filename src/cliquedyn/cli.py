@@ -13,18 +13,29 @@ import sys
 
 from . import io as gio
 from . import lemmas
-from .cliques import DEFAULT_VERTEX_BUDGET, BudgetError, clique_graph, iterate_k
+from .cliques import DEFAULT_VERTEX_BUDGET, clique_graph, iterate_k
 from .covers import CoverError, decide_finite, universal_cover_ball, validate_covering_map
 from .generators import hex_torus, icosahedron, octahedron
 from .geometric import GeoBuilder, GeoError, verify_geometric_equivalence
 from .graph import Graph, GraphError
-from .hexgrid import BASIS, gen_delta, gen_hex_patch, gen_nabla
+from .hexgrid import gen_delta, gen_hex_patch, gen_nabla
+from .isomorphism import BudgetError
 from .surface import validate_surface
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+
+# number of positional parameters each generator takes
+GENERATOR_PARAMS = {
+    "hex-patch": 1,
+    "delta": 1,
+    "nabla": 1,
+    "torus": 2,
+    "octahedron": 0,
+    "icosahedron": 0,
+}
 
 
 def _emit_graph(g: Graph, args) -> None:
@@ -48,6 +59,11 @@ def _parse_basis(text: str):
 
 def cmd_generate(args) -> int:
     kind = args.kind
+    if len(args.params) != GENERATOR_PARAMS[kind]:
+        raise GraphError(
+            f"generator {kind} takes {GENERATOR_PARAMS[kind]} parameter(s),"
+            f" got {len(args.params)}"
+        )
     if kind == "hex-patch":
         g = gen_hex_patch(int(args.params[0])).graph
     elif kind == "delta":
@@ -159,7 +175,6 @@ def cmd_decide(args) -> int:
 def cmd_verify_lemmas(args) -> int:
     results = lemmas.run_suites(
         args.suites,
-        jobs=args.jobs,
         seed=args.seed,
         radius=args.radius,
         count=args.count,
@@ -187,10 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("generate", help="emit a named graph")
-    p.add_argument(
-        "kind",
-        choices=("hex-patch", "delta", "nabla", "torus", "octahedron", "icosahedron"),
-    )
+    p.add_argument("kind", choices=tuple(GENERATOR_PARAMS))
     p.add_argument("params", nargs="*", help="generator parameters")
     p.add_argument("--e", help="basis direction for nabla 1e (100|010|001)")
     add_output(p)
@@ -242,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--n", "--n-max", type=int, default=None, dest="n_max", help="top level for equivalence"
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_verify_lemmas)
 
     return parser

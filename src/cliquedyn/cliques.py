@@ -11,14 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph
-from .isomorphism import canonical_hash, find_isomorphism
+from .isomorphism import BudgetError, canonical_hash, find_isomorphism
 
 DEFAULT_VERTEX_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 10_000_000
-
-
-class BudgetError(RuntimeError):
-    """A clique enumeration or iteration budget was exhausted."""
 
 
 def max_cliques(
@@ -51,7 +47,8 @@ def max_cliques(
             p.discard(v)
             x.add(v)
 
-    expand([], set(g.vertices), set())
+    if g.n:  # k of the empty graph is empty: report no clique, not the empty set
+        expand([], set(g.vertices), set())
     out.sort(key=sorted)
     return out
 
@@ -134,45 +131,40 @@ def iterate_k(
     exactly; digests over all previous iterates catch periodic behaviour,
     not just fixed points.
     """
-    from .isomorphism import BudgetExceededError
-
     steps: list[TraceStep] = []
     graphs: list[Graph] = [g]
     seen: dict[str, list[int]] = {}
     current = g
-    for n in range(max_steps + 1):
-        try:
+    try:
+        for n in range(max_steps + 1):
             digest = canonical_hash(current)
             repeats = [
                 earlier
                 for earlier in seen.get(digest, ())
                 if find_isomorphism(graphs[earlier], current) is not None
             ]
-        except BudgetExceededError as exc:
-            return IterationTrace(steps, "budget_exceeded", detail=str(exc), graphs=graphs)
-        steps.append(TraceStep(n, current.n, current.edge_count, digest))
-        if repeats:
-            return IterationTrace(
-                steps,
-                "converged",
-                converged_at=repeats[0],
-                period=n - repeats[0],
-                graphs=graphs,
-            )
-        seen.setdefault(digest, []).append(n)
-        if n == max_steps:
-            break
-        try:
+            steps.append(TraceStep(n, current.n, current.edge_count, digest))
+            if repeats:
+                return IterationTrace(
+                    steps,
+                    "converged",
+                    converged_at=repeats[0],
+                    period=n - repeats[0],
+                    graphs=graphs,
+                )
+            seen.setdefault(digest, []).append(n)
+            if n == max_steps:
+                break
             nxt = clique_graph(current, node_budget, clique_cap=vertex_budget)
-        except BudgetError as exc:
-            return IterationTrace(steps, "budget_exceeded", detail=str(exc), graphs=graphs)
-        if nxt.n > vertex_budget:
-            return IterationTrace(
-                steps,
-                "budget_exceeded",
-                detail=f"iterate {n + 1} has {nxt.n} vertices (budget {vertex_budget})",
-                graphs=graphs,
-            )
-        graphs.append(nxt)
-        current = nxt
+            if nxt.n > vertex_budget:
+                return IterationTrace(
+                    steps,
+                    "budget_exceeded",
+                    detail=f"iterate {n + 1} has {nxt.n} vertices (budget {vertex_budget})",
+                    graphs=graphs,
+                )
+            graphs.append(nxt)
+            current = nxt
+    except BudgetError as exc:
+        return IterationTrace(steps, "budget_exceeded", detail=str(exc), graphs=graphs)
     return IterationTrace(steps, "diverging_evidence", graphs=graphs)

@@ -15,8 +15,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError
-from .surface import SurfaceReport, classify_vertex, facets, validate_surface
+from .charts import find_standard_charts
+from .graph import Graph, GraphError, induced_subgraph
+from .io import graph_to_dict
+from .surface import SurfaceReport, classify_vertex, facet_edges, facets, validate_surface
 
 
 class CoverError(GraphError):
@@ -37,13 +39,9 @@ class CoverBall:
         )
 
     def interior_graph(self) -> Graph:
-        from .graph import induced_subgraph
-
         return induced_subgraph(self.graph, self.interior_ids())
 
     def to_dict(self) -> dict:
-        from .io import graph_to_dict
-
         return {
             "graph": graph_to_dict(self.graph),
             "projection": {str(k): v for k, v in sorted(self.projection.items())},
@@ -90,7 +88,7 @@ class _Unfolding:
         if f in self.facet_set:
             return
         self.facet_set.add(f)
-        for e in (frozenset((a, b)), frozenset((a, c)), frozenset((b, c))):
+        for e in facet_edges((a, b, c)):
             self.edge_facets.setdefault(e, []).append(f)
 
     def boundary_edges(self):
@@ -318,8 +316,6 @@ def delta_embedding_bound(cb: CoverBall, m_max: int) -> int:
     Returns m_max + 1 when even the side-(m_max) triangle embeds, meaning
     no bound was observed at this radius.  This is an observation at a
     finite radius, never a convergence certificate by itself."""
-    from .charts import find_standard_charts
-
     if cb.radius < m_max + 1:
         raise CoverError(f"radius {cb.radius} too small for m_max {m_max}")
     interior = cb.interior_graph()

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .charts import Chart, chart_of_support, find_standard_charts
+from .charts import Chart, find_standard_charts
 from .cliques import max_cliques
 from .graph import Graph, GraphError, closed_neighbourhood
-from .hexgrid import BASIS, Coord, add, delta_coords
-from .surface import SurfaceReport, boundary_distance, validate_surface
+from .hexgrid import BASIS, classify_triangle_coords
+from .surface import SurfaceReport, boundary_distance, classify_vertex, facets, validate_surface
 
 
 class GeoError(GraphError):
@@ -31,13 +31,6 @@ class GeoError(GraphError):
 
 class GeoMarginError(GeoError):
     pass
-
-
-def _side_length(size: int) -> int:
-    m = 0
-    while (m + 1) * (m + 2) // 2 < size:
-        m += 1
-    return m
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,7 @@ class GeoBuilder:
             raise GeoError(
                 f"host vertex {self.report.invalid_vertices[0]} has no cyclic or path neighbourhood"
             )
-        self.bdist = boundary_distance(host, self.report)
+        self.bdist = boundary_distance(host)
         self._charts: dict[int, list[Chart]] = {}
         self._images: dict[int, dict[frozenset[int], Chart]] = {}
 
@@ -272,10 +265,9 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> GeoClique:
     """For odd n: the common neighbourhood of all facets through a vertex."""
     if gg.n % 2 != 1:
         raise GeoError("vertex cliques need an odd n")
-    cls = validate_surface_class(gg, v)
-    if not cls.is_inner:
+    if not classify_vertex(gg.host, v).is_inner:
         raise GeoError(f"vertex {v} is not an inner vertex")
-    fan = [i for i in membership_of(gg, v) if gg.verts[i].level == 1]
+    fan = [i for i in gg.membership.get(v, ()) if gg.verts[i].level == 1]
     if len(fan) != gg.host.degree(v):
         raise GeoMarginError(
             f"umbrella of vertex {v} is not fully inside the margin"
@@ -283,16 +275,6 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> GeoClique:
     members = common_geo_neighbourhood(gg, fan)
     _check_clique(gg, members, "vertex clique")
     return GeoClique(members, "vertex", (v,))
-
-
-def membership_of(gg: GeoGraph, v: int) -> list[int]:
-    return gg.membership.get(v, [])
-
-
-def validate_surface_class(gg: GeoGraph, v: int):
-    from .surface import classify_vertex
-
-    return classify_vertex(gg.host, v)
 
 
 def clique_summary(gg: GeoGraph, source, check: bool = True) -> frozenset[int]:
@@ -311,7 +293,7 @@ def clique_summary(gg: GeoGraph, source, check: bool = True) -> frozenset[int]:
         return members
     v = int(source)
     members = set()
-    for i in membership_of(gg, v):
+    for i in gg.membership.get(v, ()):
         gv = gg.verts[i]
         if gv.level == 1:
             members.add(i)
@@ -363,15 +345,13 @@ def _supersets(gg: GeoGraph, support: frozenset[int], level: int) -> list[int]:
         return []
     v0 = min(support)
     out = []
-    for i in membership_of(gg, v0):
+    for i in gg.membership.get(v0, ()):
         if gg.verts[i].level == level and support <= gg.verts[i].support:
             out.append(i)
     return out
 
 
 def _preimage_shape(gg: GeoGraph, i: int, support: frozenset[int]) -> str | None:
-    from .hexgrid import classify_triangle_coords
-
     inv = gg.charts[i].inverse
     coords = frozenset(inv[v] for v in support)
     shape = classify_triangle_coords(coords)
@@ -470,9 +450,7 @@ def verify_geometric_equivalence(
     report = builder.report
     if report.boundary.n == 0:
         raise GeoError("host must be a bounded patch")
-    from .surface import facets as _facets
-
-    euler = host.n - host.edge_count + len(_facets(host))
+    euler = host.n - host.edge_count + len(facets(host))
     if euler != 1:
         raise GeoError(f"host patch is not a disc (euler characteristic {euler})")
     for v in host.vertices:

@@ -1,7 +1,9 @@
 """Immutable simple-graph data model.
 
 Graphs are frozen after construction and all operations here are pure
-functions, so values can be shared freely between parallel workers.
+functions, so values can be shared freely between parallel workers.  Data
+derived from a graph's structure alone (such as its surface report) may be
+memoised on the graph itself, since it can never go stale.
 Vertex ids are opaque integers; generator metadata (for example lattice
 coordinates) travels in the optional ``labels`` mapping, which every
 structural operation ignores.
@@ -23,7 +25,7 @@ class UnknownVertexError(GraphError):
 class Graph:
     """A finite undirected simple graph."""
 
-    __slots__ = ("name", "labels", "_adj", "_vertices", "_edge_count", "_hash")
+    __slots__ = ("name", "labels", "_adj", "_vertices", "_edge_count", "_hash", "_memo")
 
     def __init__(
         self,
@@ -51,6 +53,8 @@ class Graph:
         self.name = name
         self.labels = dict(labels) if labels else None
         self._hash: int | None = None
+        # derived data computed once per graph, keyed by the deriving function
+        self._memo: dict[str, object] = {}
 
     # -- basic accessors -------------------------------------------------
 

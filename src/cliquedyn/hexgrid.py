@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
+from .cliques import max_cliques
 from .graph import Graph, GraphError
 from .isomorphism import induced_images
 
@@ -68,10 +69,6 @@ def hex_distance(a: Coord, b: Coord) -> int:
     return max(abs(d[0]), abs(d[1]), abs(d[2]))
 
 
-def coord_neighbors(c: Coord) -> list[Coord]:
-    return [add(c, d) for d in UNIT_STEPS]
-
-
 def are_adjacent(a: Coord, b: Coord) -> bool:
     return sub(a, b) in _UNIT_STEP_SET
 
@@ -118,6 +115,15 @@ class HexRegion:
 
     def ids(self, coords) -> frozenset[int]:
         return frozenset(self.id_of[c] for c in coords)
+
+
+def side_of(size: int) -> int | None:
+    """Side length of the triangular patch with ``size`` vertices, or None
+    when no triangle has that many."""
+    m = 0
+    while (m + 1) * (m + 2) // 2 < size:
+        m += 1
+    return m if (m + 1) * (m + 2) // 2 == size else None
 
 
 def delta_coords(m: int) -> list[Coord]:
@@ -207,11 +213,8 @@ def classify_triangle_coords(coords: frozenset[Coord] | set[Coord]) -> tuple[str
     Returns ("up", base_offset) or ("down", apex), else None.
     """
     cs = set(coords)
-    size = len(cs)
-    m = 0
-    while (m + 1) * (m + 2) // 2 < size:
-        m += 1
-    if (m + 1) * (m + 2) // 2 != size:
+    m = side_of(len(cs))
+    if m is None:
         return None
     lo = (
         min(c[0] for c in cs),
@@ -346,8 +349,6 @@ def lhg_expected_cliques() -> dict[str, frozenset[LhgLabel]]:
 def lhg_cliques_through_origin(lhg: LocalHexagonalGraph | None = None):
     """Enumerate the maximal cliques through the centre vertex by brute
     force and check they match the expected families exactly."""
-    from .cliques import max_cliques
-
     lhg = lhg or build_lhg()
     found = [
         lhg.label_set(c) for c in max_cliques(lhg.graph) if lhg.origin in c

@@ -12,13 +12,17 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator
 
-from .graph import Graph, UnknownVertexError
+from .graph import Graph
 
 DEFAULT_BUDGET = 2_000_000
 
 
-class BudgetExceededError(RuntimeError):
-    """Search exceeded its resource budget; the answer is unknown."""
+class BudgetError(RuntimeError):
+    """A search or iteration budget was exhausted; the answer is unknown."""
+
+
+# alias so that existing imports of the labeling layer's name keep working
+BudgetExceededError = BudgetError
 
 
 def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
@@ -86,7 +90,7 @@ class _CanonSearch:
     def _descend(self, colors: list[int], fixed: tuple[int, ...]) -> None:
         self.spent += len(self.adj) + 1
         if self.spent > self.budget:
-            raise BudgetExceededError("canonical labeling budget exceeded")
+            raise BudgetError("canonical labeling budget exceeded")
         cell = _first_splittable_cell(colors)
         if cell is None:
             code, order = _code_from_discrete(self.adj, colors)

@@ -15,9 +15,8 @@ from . import hexgrid
 from .covers import universal_cover_ball, validate_covering_map
 from .generators import hex_torus
 from .geometric import GeoBuilder, verify_geometric_equivalence
-from .graph import Graph
 from .isomorphism import find_isomorphism
-from .surface import disc_discharge_check, facets, maximal_straight_paths
+from .surface import disc_discharge_check, facet_edges, facets, maximal_straight_paths
 
 
 @dataclass
@@ -185,11 +184,7 @@ def random_disc_walk(
     all_facets = [f for f in facets(g) if all(v in deep for v in f)]
     edge_facets: dict[frozenset[int], list[int]] = {}
     for i, f in enumerate(all_facets):
-        for e in (
-            frozenset((f[0], f[1])),
-            frozenset((f[0], f[2])),
-            frozenset((f[1], f[2])),
-        ):
+        for e in facet_edges(f):
             edge_facets.setdefault(e, []).append(i)
 
     while True:
@@ -198,12 +193,7 @@ def random_disc_walk(
         for _ in range(target):
             frontier = set()
             for fi in region:
-                f = all_facets[fi]
-                for e in (
-                    frozenset((f[0], f[1])),
-                    frozenset((f[0], f[2])),
-                    frozenset((f[1], f[2])),
-                ):
+                for e in facet_edges(all_facets[fi]):
                     frontier.update(edge_facets.get(e, ()))
             frontier -= region
             if not frontier:
@@ -217,12 +207,7 @@ def random_disc_walk(
 def _rim_walk(all_facets, region) -> tuple[int, ...] | None:
     edge_count: dict[frozenset[int], int] = {}
     for fi in region:
-        f = all_facets[fi]
-        for e in (
-            frozenset((f[0], f[1])),
-            frozenset((f[0], f[2])),
-            frozenset((f[1], f[2])),
-        ):
+        for e in facet_edges(all_facets[fi]):
             edge_count[e] = edge_count.get(e, 0) + 1
     rim = [tuple(sorted(e)) for e, c in edge_count.items() if c == 1]
     nbr: dict[int, list[int]] = {}
@@ -268,29 +253,18 @@ SUITES = {
 }
 
 
-def run_suites(names, jobs: int = 1, **overrides) -> list[SuiteResult]:
+def run_suites(names, **overrides) -> list[SuiteResult]:
     chosen = list(SUITES) if names == ["all"] else names
     for name in chosen:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}")
-    runners = {name: SUITES[name] for name in chosen}
     if overrides.get("m") is not None:
         overrides.setdefault("m_lo", overrides["m"])
         overrides.setdefault("m_hi", overrides["m"])
     overrides.pop("m", None)
-
-    def call(name):
-        fn = runners[name]
-        kwargs = {
-            k: v
-            for k, v in overrides.items()
-            if v is not None and k in fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        }
-        return fn(**kwargs)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(call, chosen))
-    return [call(name) for name in chosen]
+    results = []
+    for name in chosen:
+        fn = SUITES[name]
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        results.append(fn(**{k: v for k, v in overrides.items() if v is not None and k in params}))
+    return results

@@ -87,6 +87,12 @@ def _path_order(h: Graph, start: int) -> tuple[int, ...]:
         order.append(cur)
 
 
+def facet_edges(f: tuple[int, int, int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """The three edges of the facet ``f``, as vertex pairs."""
+    a, b, c = f
+    return (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
+
+
 def facets(g: Graph) -> list[tuple[int, int, int]]:
     """All vertex triples inducing a 3-circle, each once, sorted."""
     out = []
@@ -98,7 +104,7 @@ def facets(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceReport:
     is_locally_cyclic: bool
     boundary: Graph
@@ -124,7 +130,10 @@ def validate_surface(g: Graph) -> SurfaceReport:
     The boundary graph consists of the boundary vertices plus the edges
     whose endpoints have fewer than two common neighbours.  The graph is
     locally cyclic iff the boundary is empty and no vertex is invalid.
+    The report is computed once per graph and shared by later calls.
     """
+    if "surface" in g._memo:
+        return g._memo["surface"]
     if not g.is_connected():
         raise SurfaceError("disconnected input")
     classes = {v: classify_vertex(g, v) for v in g.vertices}
@@ -139,7 +148,7 @@ def validate_surface(g: Graph) -> SurfaceReport:
         boundary_vertices.update((u, v))
     boundary = Graph(boundary_vertices, boundary_edges)
     locally_cyclic = not invalid and boundary.n == 0 and not boundary_edges
-    return SurfaceReport(
+    report = SurfaceReport(
         is_locally_cyclic=locally_cyclic,
         boundary=boundary,
         min_degree=g.min_degree(),
@@ -147,14 +156,20 @@ def validate_surface(g: Graph) -> SurfaceReport:
         invalid_vertices=invalid,
         classes=classes,
     )
+    g._memo["surface"] = report
+    return report
 
 
-def boundary_distance(g: Graph, report: SurfaceReport | None = None) -> dict[int, float]:
-    """Graph distance to the nearest boundary vertex (inf when boundary empty)."""
-    report = report or validate_surface(g)
+def boundary_distance(g: Graph) -> dict[int, float]:
+    """Graph distance to the nearest boundary vertex (inf when boundary empty).
+
+    Computed once per graph; the returned mapping is shared, so callers
+    must not modify it."""
+    if "boundary_distance" in g._memo:
+        return g._memo["boundary_distance"]
     dist: dict[int, float] = {v: float("inf") for v in g.vertices}
     queue: deque[int] = deque()
-    for v in report.boundary.vertices:
+    for v in validate_surface(g).boundary.vertices:
         dist[v] = 0
         queue.append(v)
     while queue:
@@ -163,6 +178,7 @@ def boundary_distance(g: Graph, report: SurfaceReport | None = None) -> dict[int
             if dist[w] == float("inf"):
                 dist[w] = dist[u] + 1
                 queue.append(w)
+    g._memo["boundary_distance"] = dist
     return dist
 
 
@@ -367,8 +383,8 @@ def disc_discharge_check(g: Graph, walk: tuple[int, ...]) -> int:
     all_facets = facets(g)
     edge_to_facets: dict[frozenset[int], list[int]] = {}
     for fi, f in enumerate(all_facets):
-        for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-            edge_to_facets.setdefault(frozenset(e), []).append(fi)
+        for e in facet_edges(f):
+            edge_to_facets.setdefault(e, []).append(fi)
     for e in walk_edges:
         if e not in edge_to_facets:
             raise DiscError("walk uses an edge without facets")
@@ -383,12 +399,10 @@ def disc_discharge_check(g: Graph, walk: tuple[int, ...]) -> int:
         stack = [start]
         while stack:
             fi = stack.pop()
-            f = all_facets[fi]
-            for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-                fe = frozenset(e)
-                if fe in walk_edges:
+            for e in facet_edges(all_facets[fi]):
+                if e in walk_edges:
                     continue
-                for fj in edge_to_facets[fe]:
+                for fj in edge_to_facets[e]:
                     if comp[fj] == -1:
                         comp[fj] = c
                         stack.append(fj)
@@ -410,8 +424,7 @@ def disc_discharge_check(g: Graph, walk: tuple[int, ...]) -> int:
     for fi in inside:
         f = all_facets[fi]
         in_vertices.update(f)
-        for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2])):
-            in_edges.add(frozenset(e))
+        in_edges.update(facet_edges(f))
     if len(in_vertices) - len(in_edges) + len(inside) != 1:
         raise DiscError("enclosed region is not a disc (Euler characteristic)")
     rim = {

@@ -89,6 +89,15 @@ def test_extension_restriction_matches_base(patch8):
     assert ext.twisted_image() is not None
 
 
+def test_non_triangular_support_is_rejected():
+    g = gen_hex_patch(6).graph
+    support = sorted(interior_support(g, 2, 3))[:4]
+    with pytest.raises(ChartError):
+        chart_of_support(g, support)
+    with pytest.raises(ChartError):
+        neighbour_triangles(g, support)
+
+
 def test_extension_needs_side_three():
     g = gen_hex_patch(6).graph
     support = interior_support(g, 2, 3)

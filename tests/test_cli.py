@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cliquedyn import lemmas
 from cliquedyn.cli import main
+from cliquedyn.isomorphism import BudgetError
 from cliquedyn.io import graph_from_json, graph_to_json, load_graph
 from cliquedyn.surface import facets
 
@@ -28,6 +30,21 @@ def test_generate_torus_counts(tmp_path, capsys):
 def test_generate_rejects_small_torus(capsys):
     code, _, err = run(capsys, "generate", "torus", "3", "3")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["hex-patch"], 1),
+        (["delta"], 1),
+        (["torus", "5"], 2),
+        (["octahedron", "1"], 0),
+    ],
+)
+def test_generate_checks_parameter_count(capsys, argv, expected):
+    code, _, err = run(capsys, "generate", *argv)
+    assert code == 2
+    assert f"generator {argv[0]} takes {expected} parameter(s)" in err
 
 
 def test_generate_delta_matches_fixture(fixtures_dir, capsys):
@@ -126,6 +143,17 @@ def test_iterate_trace_lines(tmp_path, capsys):
     assert lines[-1]["verdict"] == "diverging_evidence"
 
 
+def test_empty_graph_cli(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"vertices":[],"edges":[]}')
+    code, out, _ = run(capsys, "cliquegraph", str(empty))
+    assert code == 0 and graph_from_json(out).n == 0
+    code, out, _ = run(capsys, "iterate", str(empty))
+    summary = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert (summary["verdict"], summary["n"], summary["period"]) == ("converged", 0, 1)
+
+
 def test_iterate_budget_env(tmp_path, capsys, monkeypatch):
     torus = tmp_path / "t.json"
     run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
@@ -182,6 +210,20 @@ def test_verify_lemmas_cli(capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     assert all(ln["ok"] for ln in lines)
     assert {ln["suite"] for ln in lines} == {"lhg", "straight-paths"}
+
+
+def test_verify_lemmas_labeling_budget_exits_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BudgetError("canonical labeling budget exceeded")
+
+    monkeypatch.setattr(lemmas, "find_isomorphism", exhausted)
+    code, _, err = run(capsys, "verify-lemmas", "cover")
+    assert code == 3 and "budget exceeded" in err
+
+
+def test_verify_lemmas_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-lemmas", "lhg", "--jobs", "2"])
 
 
 def test_verify_lemmas_unknown_suite(capsys):

@@ -128,6 +128,14 @@ def test_iterate_respects_vertex_budget(octa):
     assert all(s.vertices <= 10 for s in trace.steps)
 
 
+def test_empty_graph_is_a_fixed_point():
+    empty = Graph([], [])
+    assert max_cliques(empty) == []
+    assert clique_graph(empty).n == 0
+    trace = iterate_k(empty, 3)
+    assert (trace.verdict, trace.converged_at, trace.period) == ("converged", 0, 1)
+
+
 def test_max_cliques_node_budget(t44):
     with pytest.raises(BudgetError):
         max_cliques(t44, node_budget=3)

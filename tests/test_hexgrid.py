@@ -18,6 +18,7 @@ from cliquedyn.hexgrid import (
     hex_distance,
     lhg_cliques_through_origin,
     lhg_expected_cliques,
+    side_of,
     triangle_inclusion,
 )
 from cliquedyn.io import graph_to_json
@@ -56,6 +57,11 @@ def test_delta2_has_one_inverted_facet():
     ]
     assert len(down) == 1
     assert {d2.coord_of[v] for v in down[0]} == {(1, 1, 0), (0, 1, 1), (1, 0, 1)}
+
+
+def test_side_of_triangular_sizes():
+    assert [side_of(size) for size in (1, 3, 6, 10)] == [0, 1, 2, 3]
+    assert [side_of(size) for size in (2, 4, 5)] == [None, None, None]
 
 
 def test_nabla_shapes():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquedyn import cliques
 from cliquedyn.generators import hex_torus, octahedron
 from cliquedyn.graph import Graph
 from cliquedyn.hexgrid import delta_graph, gen_delta
@@ -67,6 +68,10 @@ def test_equivalence_relation_spot_checks(octa, t44):
     # transitivity through a relabelled middle graph
     mid = relabel(octa, {v: v + 50 for v in octa.vertices})
     assert is_isomorphic(octa, mid) and is_isomorphic(mid, octa)
+
+
+def test_one_budget_exception():
+    assert cliques.BudgetError is BudgetExceededError
 
 
 def test_budget_signal_is_distinct():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from cliquedyn.graph import Graph, closed_neighbourhood, induced_subgraph
@@ -10,6 +12,7 @@ from cliquedyn.surface import (
     INVALID,
     DiscError,
     SurfaceError,
+    boundary_distance,
     classify_vertex,
     disc_discharge_check,
     facets,
@@ -75,6 +78,21 @@ def test_validate_surface_triangle_patch_boundary():
 def test_validate_surface_torus(t44):
     rep = validate_surface(t44)
     assert rep.is_locally_cyclic and rep.min_degree == 6 and rep.max_degree == 6
+
+
+def test_surface_report_is_computed_once_and_frozen():
+    g = gen_delta(4).graph
+    rep = validate_surface(g)
+    assert validate_surface(g) is rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.min_degree = 0
+
+
+def test_boundary_distance_is_computed_once():
+    g = gen_hex_patch(3).graph
+    dist = boundary_distance(g)
+    assert boundary_distance(g) is dist
+    assert max(dist.values()) == 3 and min(dist.values()) == 0
 
 
 def test_validate_surface_rejects_disconnected():
