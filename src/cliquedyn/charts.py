@@ -12,6 +12,7 @@ of its base edge is known.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 from .graph import Graph, closed_neighbourhood, induced_subgraph
 from .hexgrid import (
@@ -155,31 +156,31 @@ def find_standard_charts(g: Graph, m: int) -> list[Chart]:
     """Every chart of the side-m triangle onto an induced subgraph of g.
 
     For m >= 1, each image admits exactly six charts on a locally
-    grid-like host (one per ordered corner facet)."""
+    grid-like host (one per ordered corner facet).
+
+    Computed once per graph and side length; the returned list is shared,
+    so callers must not modify it."""
+    key = f"charts:{m}"
+    if key in g._memo:
+        return g._memo[key]
     if m == 0:
-        return [Chart(0, {(0, 0, 0): v}, g) for v in g.vertices]
+        charts = [Chart(0, {(0, 0, 0): v}, g) for v in g.vertices]
+        g._memo[key] = charts
+        return charts
     _require_patch_surface(g)
     charts = []
     corner, c1, c2 = (m, 0, 0), (m - 1, 1, 0), (m - 1, 0, 1)
     for f in facets(g):
-        a, b, c = f
-        for u, v, w in (
-            (a, b, c),
-            (a, c, b),
-            (b, a, c),
-            (b, c, a),
-            (c, a, b),
-            (c, b, a),
-        ):
+        for u, v, w in permutations(f):
             anchor = {corner: u, c1: v, c2: w}
+            # _develop keeps the mapping injective; a facet's corners are distinct
             mapping = _develop(g, anchor, m) if m >= 2 else anchor
             if mapping is None:
-                continue
-            if len(set(mapping.values())) != len(mapping):
                 continue
             if _is_induced_triangle(g, mapping):
                 charts.append(Chart(m, mapping, g))
     charts.sort(key=Chart.key)
+    g._memo[key] = charts
     return charts
 
 

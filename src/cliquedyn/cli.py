@@ -14,9 +14,9 @@ import sys
 from . import io as gio
 from . import lemmas
 from .cliques import DEFAULT_VERTEX_BUDGET, clique_graph, iterate_k
-from .covers import CoverError, decide_finite, universal_cover_ball, validate_covering_map
+from .covers import decide_finite, universal_cover_ball, validate_covering_map
 from .generators import hex_torus, icosahedron, octahedron
-from .geometric import GeoBuilder, GeoError, verify_geometric_equivalence
+from .geometric import GeoBuilder, verify_geometric_equivalence
 from .graph import Graph, GraphError
 from .hexgrid import gen_delta, gen_hex_patch, gen_nabla
 from .isomorphism import BudgetError
@@ -57,6 +57,13 @@ def _parse_basis(text: str):
     return table[text]
 
 
+def _int_param(kind: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise GraphError(f"generator {kind} takes integer parameters, got {text!r}") from None
+
+
 def cmd_generate(args) -> int:
     kind = args.kind
     if len(args.params) != GENERATOR_PARAMS[kind]:
@@ -65,14 +72,14 @@ def cmd_generate(args) -> int:
             f" got {len(args.params)}"
         )
     if kind == "hex-patch":
-        g = gen_hex_patch(int(args.params[0])).graph
+        g = gen_hex_patch(_int_param(kind, args.params[0])).graph
     elif kind == "delta":
-        g = gen_delta(int(args.params[0])).graph
+        g = gen_delta(_int_param(kind, args.params[0])).graph
     elif kind == "nabla":
         e = _parse_basis(args.e) if args.e else None
         g = gen_nabla(args.params[0], e).graph
     elif kind == "torus":
-        p, q = int(args.params[0]), int(args.params[1])
+        p, q = (_int_param(kind, x) for x in args.params)
         if p < 4 or q < 4:
             raise GraphError("torus sides must be at least 4")
         g = hex_torus(p, q)
@@ -153,8 +160,16 @@ def cmd_cover(args) -> int:
         return EXIT_OK
     with open(args.file) as fh:
         ball_obj = json.load(fh)
+    for key in ("graph", "projection"):
+        if not isinstance(ball_obj, dict) or not isinstance(ball_obj.get(key), dict):
+            raise GraphError(f"ball file {args.file} has no {key!r} object")
     source = gio.graph_from_dict(ball_obj["graph"])
-    projection = {int(k): v for k, v in ball_obj["projection"].items()}
+    try:
+        projection = {int(k): v for k, v in ball_obj["projection"].items()}
+    except ValueError:
+        raise GraphError(f"ball file {args.file}: projection keys must be vertex ids") from None
+    if any(type(v) is not int for v in projection.values()):
+        raise GraphError(f"ball file {args.file}: projection values must be vertex ids")
     target = gio.load_graph(args.target)
     report = validate_covering_map(projection, source, target)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -267,7 +282,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphError, GeoError, CoverError, KeyError, OSError, IndexError, ValueError) as exc:
+    except (GraphError, KeyError, OSError, IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -34,9 +34,8 @@ class CoverBall:
     radius: int
 
     def interior_ids(self) -> frozenset[int]:
-        return frozenset(
-            v for v in self.graph.vertices if classify_vertex(self.graph, v).is_inner
-        )
+        classes = validate_surface(self.graph).classes
+        return frozenset(v for v, cls in classes.items() if cls.is_inner)
 
     def interior_graph(self) -> Graph:
         return induced_subgraph(self.graph, self.interior_ids())
@@ -238,6 +237,8 @@ def validate_covering_map(
 
     violations = []
     checked = 0
+    # classified vertex by vertex: the full surface report adds boundary-edge and
+    # connectivity passes this check does not need (slower on a 20388-lift ball)
     for v in source.vertices:
         if not classify_vertex(source, v).is_inner:
             continue
@@ -289,7 +290,9 @@ def decide_finite(g: Graph) -> Verdict:
     gates["min_degree"] = report.min_degree
     gates["max_degree"] = report.max_degree
     if not report.is_locally_cyclic:
-        if report.invalid_vertices:
+        if g.n == 0:
+            reason = "not locally cyclic: empty graph"
+        elif report.invalid_vertices:
             reason = f"not locally cyclic: vertex {report.invalid_vertices[0]} has no cyclic neighbourhood"
         else:
             reason = f"not locally cyclic: boundary vertex {report.boundary.vertices[0]}"
@@ -319,12 +322,5 @@ def delta_embedding_bound(cb: CoverBall, m_max: int) -> int:
     if cb.radius < m_max + 1:
         raise CoverError(f"radius {cb.radius} too small for m_max {m_max}")
     interior = cb.interior_graph()
-    best = 0
-    for m in range(m_max, -1, -1):
-        if m == 0:
-            best = 0
-            break
-        if find_standard_charts(interior, m):
-            best = m
-            break
+    best = next((m for m in range(m_max, 0, -1) if find_standard_charts(interior, m)), 0)
     return m_max + 1 if best == m_max else best

@@ -17,12 +17,13 @@ point certifies on deep interiors of patches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
-from .charts import Chart, find_standard_charts
+from .charts import Chart, charts_by_image, find_standard_charts
 from .cliques import max_cliques
 from .graph import Graph, GraphError, closed_neighbourhood
 from .hexgrid import BASIS, classify_triangle_coords
-from .surface import SurfaceReport, boundary_distance, classify_vertex, facets, validate_surface
+from .surface import SurfaceReport, boundary_distance, facets, validate_surface
 
 
 class GeoError(GraphError):
@@ -99,8 +100,8 @@ class GeoGraph:
 
 
 class GeoBuilder:
-    """Caches per-host chart enumeration so several level graphs over the
-    same host share the expensive work."""
+    """Builds level graphs over one host.  Chart lists are memoised on the
+    host itself, so level graphs over the same host share that work."""
 
     def __init__(self, host: Graph):
         self.host = host
@@ -110,21 +111,11 @@ class GeoBuilder:
                 f"host vertex {self.report.invalid_vertices[0]} has no cyclic or path neighbourhood"
             )
         self.bdist = boundary_distance(host)
-        self._charts: dict[int, list[Chart]] = {}
-        self._images: dict[int, dict[frozenset[int], Chart]] = {}
-
-    def charts(self, m: int) -> list[Chart]:
-        if m not in self._charts:
-            self._charts[m] = find_standard_charts(self.host, m)
-        return self._charts[m]
 
     def images(self, m: int) -> dict[frozenset[int], Chart]:
-        if m not in self._images:
-            groups: dict[frozenset[int], Chart] = {}
-            for ch in self.charts(m):
-                groups.setdefault(ch.image, ch)
-            self._images[m] = groups
-        return self._images[m]
+        """The side-m images, each with its first chart."""
+        groups = charts_by_image(find_standard_charts(self.host, m))
+        return {image: charts[0] for image, charts in groups.items()}
 
     def support_margin(self, support) -> float:
         return min(self.bdist[v] for v in support)
@@ -161,23 +152,13 @@ class GeoBuilder:
             adj[i].add(j)
             adj[j].add(i)
 
-        boundary_cache: dict[int, frozenset[int]] = {}
-        hood_boundary_cache: dict[int, frozenset[int]] = {}
-
+        @cache
         def support_boundary(i: int) -> frozenset[int]:
-            if i not in boundary_cache:
-                ch = charts[i]
-                boundary_cache[i] = frozenset(
-                    ch[c] for c in ch.mapping if min(c) == 0
-                )
-            return boundary_cache[i]
+            return frozenset(v for c, v in charts[i].mapping.items() if min(c) == 0)
 
+        @cache
         def support_boundary_hood(i: int) -> frozenset[int]:
-            if i not in hood_boundary_cache:
-                hood_boundary_cache[i] = closed_neighbourhood(
-                    self.host, support_boundary(i)
-                )
-            return hood_boundary_cache[i]
+            return closed_neighbourhood(self.host, support_boundary(i))
 
         for i, gv in enumerate(verts):
             hood = closed_neighbourhood(self.host, gv.support)
@@ -265,7 +246,8 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> GeoClique:
     """For odd n: the common neighbourhood of all facets through a vertex."""
     if gg.n % 2 != 1:
         raise GeoError("vertex cliques need an odd n")
-    if not classify_vertex(gg.host, v).is_inner:
+    cls = validate_surface(gg.host).classes.get(v)
+    if cls is None or not cls.is_inner:
         raise GeoError(f"vertex {v} is not an inner vertex")
     fan = [i for i in gg.membership.get(v, ()) if gg.verts[i].level == 1]
     if len(fan) != gg.host.degree(v):
@@ -437,12 +419,12 @@ class EquivalenceReport:
 
 
 def verify_geometric_equivalence(
-    host: Graph, n: int, margin: int | None = None, builder: GeoBuilder | None = None
+    host: Graph, n: int, margin: int | None = None
 ) -> EquivalenceReport:
     """Certify on the deep interior that the clique correspondence is a
     graph isomorphism between the level-(n+1) graph and the clique graph
     of the level-n graph."""
-    builder = builder or GeoBuilder(host)
+    builder = GeoBuilder(host)
     if margin is None:
         margin = n + 3
     if margin < n + 3:

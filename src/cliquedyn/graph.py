@@ -1,9 +1,10 @@
 """Immutable simple-graph data model.
 
 Graphs are frozen after construction and all operations here are pure
-functions, so values can be shared freely between parallel workers.  Data
-derived from a graph's structure alone (such as its surface report) may be
-memoised on the graph itself, since it can never go stale.
+functions, so values can be shared freely.  Data derived from a graph's
+structure alone is memoised on the graph itself, since it can never go
+stale: the surface report, boundary distances, chart lists and the
+canonical order.
 Vertex ids are opaque integers; generator metadata (for example lattice
 coordinates) travels in the optional ``labels`` mapping, which every
 structural operation ignores.

@@ -28,11 +28,18 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_dict(obj: dict) -> Graph:
+    """Build a graph from its JSON object, naming the first malformed entry."""
     try:
-        vertices = obj["vertices"]
-        edges = [tuple(e) for e in obj["edges"]]
+        vertices = list(obj["vertices"])
+        edges = list(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph object: {exc}") from exc
+    for i, v in enumerate(vertices):
+        if type(v) is not int:
+            raise GraphError(f"malformed graph object: vertices[{i}] = {v!r} is not an integer id")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise GraphError(f"malformed graph object: edges[{i}] = {e!r} is not an id pair")
     labels = None
     if "labels" in obj and obj["labels"]:
         labels = {int(k): _freeze_label(v) for k, v in obj["labels"].items()}

@@ -172,14 +172,20 @@ class _CanonSearch:
 
 def canonical_order(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """A canonical vertex ordering: isomorphic graphs produce orderings under
-    which their relabelled edge sets coincide."""
+    which their relabelled edge sets coincide.
+
+    Computed once per graph; a later call returns the stored order without
+    checking ``budget`` again."""
+    if "canonical_order" in g._memo:
+        return g._memo["canonical_order"]
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
     adj = [[idx[w] for w in g.neighbors(v)] for v in verts]
     if not verts:
         return ()
-    order = _CanonSearch(adj, budget).run()
-    return tuple(verts[i] for i in order)
+    order = tuple(verts[i] for i in _CanonSearch(adj, budget).run())
+    g._memo["canonical_order"] = order
+    return order
 
 
 def canonical_key(g: Graph, budget: int = DEFAULT_BUDGET) -> bytes:
@@ -203,15 +209,9 @@ def find_isomorphism(
     """An isomorphism g1 -> g2 as a vertex map, or None."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
-    o1 = canonical_order(g1, budget)
-    o2 = canonical_order(g2, budget)
-    p1 = {v: i for i, v in enumerate(o1)}
-    e1 = sorted(tuple(sorted((p1[u], p1[v]))) for u, v in g1.edges())
-    p2 = {v: i for i, v in enumerate(o2)}
-    e2 = sorted(tuple(sorted((p2[u], p2[v]))) for u, v in g2.edges())
-    if e1 != e2:
+    if canonical_key(g1, budget) != canonical_key(g2, budget):
         return None
-    mapping = {o1[i]: o2[i] for i in range(len(o1))}
+    mapping = dict(zip(canonical_order(g1), canonical_order(g2)))
     for u, v in g1.edges():
         if not g2.has_edge(mapping[u], mapping[v]):  # pragma: no cover
             raise AssertionError("canonical order produced an invalid witness")

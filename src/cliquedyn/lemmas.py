@@ -14,7 +14,7 @@ from . import charts as charts_mod
 from . import hexgrid
 from .covers import universal_cover_ball, validate_covering_map
 from .generators import hex_torus
-from .geometric import GeoBuilder, verify_geometric_equivalence
+from .geometric import verify_geometric_equivalence
 from .isomorphism import find_isomorphism
 from .surface import disc_discharge_check, facet_edges, facets, maximal_straight_paths
 
@@ -146,11 +146,10 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
 
 def equivalence_suite(radius: int = 12, n_max: int = 3) -> SuiteResult:
     patch = hexgrid.gen_hex_patch(radius)
-    builder = GeoBuilder(patch.graph)
     results = {}
     ok = True
     for n in range(n_max + 1):
-        rep = verify_geometric_equivalence(patch.graph, n, builder=builder)
+        rep = verify_geometric_equivalence(patch.graph, n)
         results[n] = rep.to_dict()
         ok = ok and rep.ok
     return SuiteResult("equivalence", ok, {"levels": results})

@@ -129,7 +129,8 @@ def validate_surface(g: Graph) -> SurfaceReport:
 
     The boundary graph consists of the boundary vertices plus the edges
     whose endpoints have fewer than two common neighbours.  The graph is
-    locally cyclic iff the boundary is empty and no vertex is invalid.
+    locally cyclic iff it is not empty, the boundary is empty and no vertex
+    is invalid.
     The report is computed once per graph and shared by later calls.
     """
     if "surface" in g._memo:
@@ -147,7 +148,7 @@ def validate_surface(g: Graph) -> SurfaceReport:
     for u, v in boundary_edges:
         boundary_vertices.update((u, v))
     boundary = Graph(boundary_vertices, boundary_edges)
-    locally_cyclic = not invalid and boundary.n == 0 and not boundary_edges
+    locally_cyclic = g.n > 0 and not invalid and boundary.n == 0 and not boundary_edges
     report = SurfaceReport(
         is_locally_cyclic=locally_cyclic,
         boundary=boundary,
@@ -196,9 +197,7 @@ def check_walk(g: Graph, walk: tuple[int, ...]) -> None:
             raise SurfaceError(f"walk step ({a},{b}) is not an edge")
 
 
-def path_degree(
-    g: Graph, walk: tuple[int, ...], i: int, classes: dict[int, VertexClass] | None = None
-) -> frozenset[int]:
+def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:
     """Arc lengths cut by the walk in the neighbourhood of its i-th vertex.
 
     Inner vertex: the two arc lengths of the neighbourhood cycle between
@@ -211,7 +210,7 @@ def path_degree(
     prev, cur, nxt = walk[i - 1], walk[i], walk[i + 1]
     if prev == nxt:
         raise SurfaceError("walk backtracks immediately; path degree undefined")
-    cls = classes[cur] if classes else classify_vertex(g, cur)
+    cls = classify_vertex(g, cur)
     if cls.kind == INNER:
         cycle = cls.order
         length = len(cycle)
@@ -228,13 +227,13 @@ def path_degree(
     raise SurfaceError(f"vertex {cur} has no cyclic or path neighbourhood")
 
 
-def is_straight(g: Graph, walk: tuple[int, ...], classes=None) -> bool:
+def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
     """True iff every interior path degree along the walk contains 3."""
     check_walk(g, walk)
     if len(walk) < 3:
         raise SurfaceError("straightness needs a walk of length at least 2")
     return all(
-        3 in path_degree(g, walk, i, classes) for i in range(1, len(walk) - 1)
+        3 in path_degree(g, walk, i) for i in range(1, len(walk) - 1)
     )
 
 
@@ -271,9 +270,8 @@ def _straight_steps(
 def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
     """All maximal straight walks of length >= min_len, deduplicated up to
     reversal.  Closed straight lines are returned with the start vertex
-    repeated at the end."""
-    classes = {v: classify_vertex(g, v) for v in g.vertices}
-    succ = _straight_steps(g, classes)
+    repeated at the end.  Raises SurfaceError on a disconnected graph."""
+    succ = _straight_steps(g, validate_surface(g).classes)
     has_pred = set()
     for (u, v), outs in succ.items():
         for w in outs:

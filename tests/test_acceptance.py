@@ -17,7 +17,7 @@ from cliquedyn.charts import (
 from cliquedyn.cliques import iterate_k
 from cliquedyn.covers import decide_finite, universal_cover_ball, validate_covering_map
 from cliquedyn.generators import hex_torus, icosahedron, octahedron
-from cliquedyn.geometric import GeoBuilder, build_geo, verify_geometric_equivalence
+from cliquedyn.geometric import build_geo, verify_geometric_equivalence
 from cliquedyn.graph import Graph, induced_subgraph
 from cliquedyn.hexgrid import (
     BASIS,
@@ -111,9 +111,8 @@ def test_criterion_3_straight_path_classification():
 def test_criterion_4_geometric_equivalence():
     with Timer(300.0) as t:
         patch = gen_hex_patch(14)
-        builder = GeoBuilder(patch.graph)
         for n in range(4):
-            rep = verify_geometric_equivalence(patch.graph, n, builder=builder)
+            rep = verify_geometric_equivalence(patch.graph, n)
             assert rep.ok, f"n={n}: {rep.failures}"
             assert rep.next_vertices > 0 and rep.deep_cliques > 0
     report(4, "clique correspondence is an isomorphism for n in 0..3 at radius 14", t)

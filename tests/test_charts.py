@@ -172,3 +172,10 @@ def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
             fast = set(charts_by_image(find_standard_charts(host, m)))
             slow = set(induced_images(delta_graph(m), host))
             assert fast == slow
+
+
+def test_chart_lists_are_computed_once_per_side():
+    g = gen_hex_patch(4).graph
+    charts = find_standard_charts(g, 2)
+    assert find_standard_charts(g, 2) is charts
+    assert find_standard_charts(g, 3) is not charts

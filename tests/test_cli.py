@@ -47,6 +47,37 @@ def test_generate_checks_parameter_count(capsys, argv, expected):
     assert f"generator {argv[0]} takes {expected} parameter(s)" in err
 
 
+@pytest.mark.parametrize("argv", [["torus", "4", "x"], ["hex-patch", "2.5"], ["delta", "three"]])
+def test_generate_names_a_non_integer_parameter(capsys, argv):
+    code, _, err = run(capsys, "generate", *argv)
+    assert code == 2
+    assert f"generator {argv[0]} takes integer parameters, got {argv[-1]!r}" in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"vertices":[null],"edges":[]}', "vertices[0]"),
+        ('{"vertices":[0,1],"edges":[[0]]}', "edges[0]"),
+    ],
+)
+def test_malformed_graph_file_exits_2(tmp_path, capsys, text, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("analyze", "decide", "iterate"):
+        code, _, err = run(capsys, command, str(bad))
+        assert code == 2 and f"malformed graph object: {field}" in err
+
+
+def test_library_errors_exit_2(tmp_path, capsys):
+    torus = tmp_path / "t.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    code, _, err = run(capsys, "geometric", "verify", str(torus), "--n", "0")
+    assert code == 2 and "bounded patch" in err  # GeoError
+    code, _, err = run(capsys, "cover", "build", str(torus), "--base", "99")
+    assert code == 2 and "unknown base vertex" in err  # CoverError
+
+
 def test_generate_delta_matches_fixture(fixtures_dir, capsys):
     code, out, _ = run(capsys, "generate", "delta", "4")
     assert code == 0
@@ -152,6 +183,12 @@ def test_empty_graph_cli(tmp_path, capsys):
     summary = json.loads(out.splitlines()[-1])
     assert code == 0
     assert (summary["verdict"], summary["n"], summary["period"]) == ("converged", 0, 1)
+    code, out, _ = run(capsys, "analyze", str(empty))
+    assert code == 0 and json.loads(out)["is_locally_cyclic"] is False
+    code, out, _ = run(capsys, "decide", str(empty))
+    verdict = json.loads(out.splitlines()[-1])
+    assert code == 0 and out.startswith("Unsupported: not locally cyclic: empty graph")
+    assert verdict["gates"]["locally_cyclic"] is False
 
 
 def test_iterate_budget_env(tmp_path, capsys, monkeypatch):
@@ -202,6 +239,27 @@ def test_cover_validate_detects_folding(tmp_path, capsys):
     ball_file.write_text(json.dumps(ball))
     code, out, _ = run(capsys, "cover", "validate", str(ball_file), "--target", str(octa))
     assert code == 1 and not json.loads(out)["ok"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj.pop("graph"), "has no 'graph' object"),
+        (lambda obj: obj.pop("projection"), "has no 'projection' object"),
+        (lambda obj: obj["projection"].update({"a": 0}), "projection keys must be vertex ids"),
+        (lambda obj: obj["projection"].update({"0": [0]}), "projection values must be vertex ids"),
+    ],
+)
+def test_cover_validate_names_a_malformed_ball(tmp_path, capsys, edit, message):
+    torus = tmp_path / "t.json"
+    ball = tmp_path / "ball.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    run(capsys, "cover", "build", str(torus), "--radius", "2", "--out", str(ball))
+    obj = json.loads(ball.read_text())
+    edit(obj)
+    ball.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "cover", "validate", str(ball), "--target", str(torus))
+    assert code == 2 and message in err
 
 
 def test_verify_lemmas_cli(capsys):

@@ -207,9 +207,8 @@ def test_verify_equivalence_on_triangular_patch():
     """The correspondence holds on any simply connected patch with
     6-regular interior, not just hexagonal balls."""
     host = gen_delta(18).graph
-    builder = GeoBuilder(host)
     for n in (0, 1, 2):
-        report = verify_geometric_equivalence(host, n, builder=builder)
+        report = verify_geometric_equivalence(host, n)
         assert report.ok, report.failures
     assert report.deep_cliques >= 1
 
@@ -275,3 +274,10 @@ def test_geo_graph_serialisation(patch9_builder):
     assert payload["n"] == 1 and payload["vertices"]
     sizes = {len(v["support"]) for v in payload["vertices"]}
     assert sizes == {3}
+
+
+def test_verify_shares_charts_through_the_host_not_a_builder():
+    host = gen_hex_patch(8).graph
+    with pytest.raises(TypeError):
+        verify_geometric_equivalence(host, 0, builder=GeoBuilder(host))
+    assert verify_geometric_equivalence(host, 0).ok

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from cliquedyn.graph import GraphError
@@ -32,6 +34,20 @@ def test_malformed_json_raises():
         graph_from_json("{not json")
     with pytest.raises(GraphError):
         graph_from_json('{"vertices": [0, 1]}')
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"vertices": [null], "edges": []}', "vertices[0]"),
+        ('{"vertices": [0, "1"], "edges": []}', "vertices[1]"),
+        ('{"vertices": [0, 1], "edges": [[0, 1], [0]]}', "edges[1]"),
+        ('{"vertices": [0, 1], "edges": [[0, 1.5]]}', "edges[0]"),
+    ],
+)
+def test_malformed_entries_are_named(text, field):
+    with pytest.raises(GraphError, match=re.escape(field)):
+        graph_from_json(text)
 
 
 def test_edge_list_round_trip(octa):

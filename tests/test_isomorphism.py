@@ -1,21 +1,33 @@
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cliquedyn import cliques
+from cliquedyn.cliques import clique_graph, iterate_k
 from cliquedyn.generators import hex_torus, octahedron
 from cliquedyn.graph import Graph
 from cliquedyn.hexgrid import delta_graph, gen_delta
 from cliquedyn.isomorphism import (
     BudgetExceededError,
+    _CanonSearch,
     canonical_hash,
+    canonical_order,
     find_isomorphism,
     induced_embeddings,
     induced_images,
     is_isomorphic,
 )
-from helpers import brute_force_isomorphic, complete_graph, cycle_graph
+from helpers import (
+    brute_force_isomorphic,
+    complete_graph,
+    cycle_graph,
+    degree_seven_surface,
+    genus2_surface,
+)
 
 
 def relabel(g: Graph, perm: dict[int, int]) -> Graph:
@@ -132,3 +144,93 @@ def test_induced_embeddings_require_induced():
 
 def test_empty_pattern_embeds_once(octa):
     assert list(induced_embeddings(Graph([]), octa)) == [{}]
+
+
+def test_canonical_order_is_computed_once():
+    g = hex_torus(4, 4)
+    assert canonical_order(g) is canonical_order(g)
+
+
+@pytest.mark.parametrize(
+    "make, steps, runs",
+    [(degree_seven_surface, 6, 4), (genus2_surface, 14, 14)],
+)
+def test_each_iterate_is_labeled_once(monkeypatch, make, steps, runs):
+    # fresh graphs: a shared fixture may already carry a memoised order
+    calls = []
+    run = _CanonSearch.run
+
+    def counted(self):
+        calls.append(self)
+        return run(self)
+
+    monkeypatch.setattr(_CanonSearch, "run", counted)
+    trace = iterate_k(make(), steps)
+    assert (trace.verdict, trace.period) == ("converged", 2)
+    assert len(calls) == len(trace.steps) == runs
+
+
+# -- differential check against networkx --------------------------------------
+
+DIFFERENTIAL_BASES = [
+    hex_torus(4, 4),
+    hex_torus(5, 6),
+    genus2_surface(),
+    clique_graph(clique_graph(octahedron())),
+]
+
+
+def _nx_isomorphic(g: Graph, h: Graph) -> bool:
+    def to_nx(x: Graph) -> nx.Graph:
+        out = nx.Graph(list(x.edges()))
+        out.add_nodes_from(x.vertices)
+        return out
+
+    # VF2++ rather than nx.is_isomorphic's VF2, which took minutes on some
+    # double-edge-swap near misses of the genus-2 surface
+    return nx.vf2pp_is_isomorphic(to_nx(g), to_nx(h))
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    ids = [v + 1000 for v in g.vertices]
+    rng.shuffle(ids)
+    perm = dict(zip(g.vertices, ids))
+    return Graph(ids, [(perm[a], perm[b]) for a, b in g.edges()])
+
+
+def _double_edge_swap(g: Graph, rng: random.Random) -> Graph | None:
+    """Replace edges ab, cd by ad, cb (degrees are kept), or None when the
+    graph admits no such swap."""
+    edges = list(g.edges())
+    rng.shuffle(edges)
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1 :]:
+            if len({a, b, c, d}) == 4 and not g.has_edge(a, d) and not g.has_edge(c, b):
+                kept = set(edges) - {(a, b), (c, d)}
+                return Graph(g.vertices, kept | {(a, d), (c, b)})
+    return None
+
+
+def _assert_witness(mapping: dict[int, int], g: Graph, h: Graph) -> None:
+    assert sorted(mapping) == list(g.vertices)
+    assert sorted(mapping.values()) == list(h.vertices)
+    assert all(h.has_edge(mapping[a], mapping[b]) for a, b in g.edges())
+    assert g.edge_count == h.edge_count
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(range(len(DIFFERENTIAL_BASES))), st.randoms(use_true_random=False))
+def test_find_isomorphism_agrees_with_networkx(index, rng):
+    g = DIFFERENTIAL_BASES[index]
+    h = _shuffled(g, rng)
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None and _nx_isomorphic(g, h)
+    _assert_witness(mapping, g, h)
+
+    near = _double_edge_swap(h, rng)
+    if near is None:
+        return
+    mapping = find_isomorphism(g, near)
+    assert (mapping is not None) == _nx_isomorphic(g, near)
+    if mapping is not None:
+        _assert_witness(mapping, g, near)

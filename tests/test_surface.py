@@ -99,6 +99,14 @@ def test_validate_surface_rejects_disconnected():
     g = Graph(range(4), [(0, 1), (2, 3)])
     with pytest.raises(SurfaceError):
         validate_surface(g)
+    with pytest.raises(SurfaceError):
+        maximal_straight_paths(g, 1)
+
+
+def test_empty_graph_is_not_locally_cyclic():
+    rep = validate_surface(Graph([], []))
+    assert not rep.is_locally_cyclic
+    assert rep.boundary.n == 0 and not rep.invalid_vertices
 
 
 def test_facet_counts(octa, t44):
