@@ -14,20 +14,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .graph import Graph, closed_neighbourhood, induced_subgraph
+from .graph import Graph, closed_neighbourhood
 from .hexgrid import (
     UNIT_STEPS,
     Coord,
     add,
     are_adjacent,
     delta_coords,
-    delta_graph,
     flipped_delta_coords,
     gen_delta,
     side_of,
-    sub,
 )
-from .isomorphism import induced_embeddings, induced_images
 from .surface import SurfaceReport, boundary_distance, facets, validate_surface
 
 
@@ -143,13 +140,21 @@ def _develop(g: Graph, assign: dict[Coord, int], m: int) -> dict[Coord, int] | N
     return mapping
 
 
-def _is_induced_triangle(g: Graph, mapping: dict[Coord, int]) -> bool:
-    coords = sorted(mapping)
-    for i, a in enumerate(coords):
-        for b in coords[i + 1 :]:
-            if are_adjacent(a, b) != g.has_edge(mapping[a], mapping[b]):
-                return False
-    return True
+@lru_cache(maxsize=64)
+def _lattice_edges(m: int) -> tuple[tuple[Coord, Coord], ...]:
+    region = gen_delta(m)
+    return tuple((region.coord_of[u], region.coord_of[v]) for u, v in region.graph.edges())
+
+
+def _is_induced_triangle(g: Graph, mapping: dict[Coord, int], m: int) -> bool:
+    """Every lattice edge is present and the image spans no other edge:
+    with all 3m(m+1)/2 lattice edges in place, the induced edge count
+    (half the degree sum inside the image) equals that number exactly
+    when there is no extra edge."""
+    if not all(g.has_edge(mapping[a], mapping[b]) for a, b in _lattice_edges(m)):
+        return False
+    image = frozenset(mapping.values())
+    return sum(len(g.neighbors(v) & image) for v in image) == 3 * m * (m + 1)
 
 
 def find_standard_charts(g: Graph, m: int) -> list[Chart]:
@@ -177,7 +182,7 @@ def find_standard_charts(g: Graph, m: int) -> list[Chart]:
             mapping = _develop(g, anchor, m) if m >= 2 else anchor
             if mapping is None:
                 continue
-            if _is_induced_triangle(g, mapping):
+            if _is_induced_triangle(g, mapping, m):
                 charts.append(Chart(m, mapping, g))
     charts.sort(key=Chart.key)
     g._memo[key] = charts
@@ -192,16 +197,15 @@ def charts_by_image(charts: list[Chart]) -> dict[frozenset[int], list[Chart]]:
 
 
 def chart_of_support(g: Graph, support) -> Chart:
-    """Some chart whose image is exactly ``support`` (raises if none)."""
+    """The first chart, in ``Chart.key`` order, whose image is exactly
+    ``support`` (raises if none)."""
     support = frozenset(support)
     m = side_of(len(support))
     if m is None:
         raise ChartError(f"{len(support)} vertices cannot form a triangular patch")
-    region = gen_delta(m)
-    sub = induced_subgraph(g, support)
-    for emb in induced_embeddings(region.graph, sub, limit=1):
-        mapping = {region.coord_of[i]: emb[i] for i in emb}
-        return Chart(m, mapping, g)
+    for chart in find_standard_charts(g, m):
+        if chart.image == support:
+            return chart
     raise ChartError(f"support of size {len(support)} is not a side-{m} triangle")
 
 
@@ -325,38 +329,20 @@ def neighbour_triangles(g: Graph, support) -> list[frozenset[int]]:
     """All same-size triangles inside the closed neighbourhood of the given
     triangular support, excluding the support itself.
 
-    Sizes 1 and 2 fall back to exhaustive search inside the closed
-    neighbourhood (at most 21 vertices); larger sizes go through chart
-    extension."""
+    The support must keep distance 1 from a host boundary for sides 1 and
+    2, and distance 2 for larger sides, the margin ``extend_chart`` needs
+    to realise the same triangles constructively."""
     support = frozenset(support)
     m = side_of(len(support))
     if m is None or m < 1:
         raise ChartError("neighbour enumeration needs a triangle of side at least 1")
     report = _require_patch_surface(g)
-    if m <= 2:
-        if report.boundary.n and min_boundary_distance(g, support) < 1:
-            raise MarginError("support is within distance 1 of the host boundary")
-        hood = closed_neighbourhood(g, support)
-        sub = induced_subgraph(g, hood)
-        images = induced_images(delta_graph(m), sub)
-        return sorted(
-            (img for img in images if img != support), key=sorted
-        )
-    chart = chart_of_support(g, support)
-    ext = extend_chart(g, chart)
-    out = []
-    for d in UNIT_STEPS:
-        img = ext.translate_image(d)
-        if img is not None and img != support and _image_is_triangle(g, img, m):
-            out.append(img)
-    twisted = ext.twisted_image()
-    if twisted is not None and twisted != support and _image_is_triangle(g, twisted, m):
-        out.append(twisted)
-    return sorted(set(out), key=sorted)
-
-
-def _image_is_triangle(g: Graph, image: frozenset[int], m: int) -> bool:
-    sub = induced_subgraph(g, image)
-    for _ in induced_embeddings(delta_graph(m), sub, limit=1):
-        return True
-    return False
+    margin = 1 if m <= 2 else 2
+    if report.boundary.n and min_boundary_distance(g, support) < margin:
+        raise MarginError(f"support is within distance {margin} of the host boundary")
+    hood = closed_neighbourhood(g, support)
+    images = {ch.image for ch in find_standard_charts(g, m) if ch.image <= hood}
+    if support not in images:
+        raise ChartError(f"support of size {len(support)} is not a side-{m} triangle")
+    images.discard(support)
+    return sorted(images, key=sorted)

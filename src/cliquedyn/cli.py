@@ -17,7 +17,7 @@ from .cliques import DEFAULT_VERTEX_BUDGET, clique_graph, iterate_k
 from .covers import decide_finite, universal_cover_ball, validate_covering_map
 from .generators import hex_torus, icosahedron, octahedron
 from .geometric import GeoBuilder, verify_geometric_equivalence
-from .graph import Graph, GraphError
+from .graph import GraphError
 from .hexgrid import gen_delta, gen_hex_patch, gen_nabla
 from .isomorphism import BudgetError
 from .surface import validate_surface
@@ -38,16 +38,16 @@ GENERATOR_PARAMS = {
 }
 
 
-def _emit_graph(g: Graph, args) -> None:
-    fmt = args.format
-    if args.out:
-        gio.save_graph(g, args.out, fmt)
-    elif fmt == "json":
-        sys.stdout.write(gio.graph_to_json(g))
-    elif fmt == "dot":
-        sys.stdout.write(gio.to_dot(g))
+GRAPH_WRITERS = {"json": gio.graph_to_json, "dot": gio.to_dot, "text": gio.edge_list_text}
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the ``--out`` file, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(gio.edge_list_text(g))
+        sys.stdout.write(text)
 
 
 def _parse_basis(text: str):
@@ -89,7 +89,7 @@ def cmd_generate(args) -> int:
         g = icosahedron()
     else:  # pragma: no cover - argparse restricts choices
         raise GraphError(f"unknown generator {kind}")
-    _emit_graph(g, args)
+    _emit(GRAPH_WRITERS[args.format](g), args.out)
     return EXIT_OK
 
 
@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
 def cmd_cliquegraph(args) -> int:
     g = gio.load_graph(args.file)
     kg = clique_graph(g)
-    _emit_graph(kg, args)
+    _emit(GRAPH_WRITERS[args.format](kg), args.out)
     return EXIT_OK
 
 
@@ -117,7 +117,10 @@ def _vertex_budget(args) -> int:
     if args.budget_vertices is not None:
         return args.budget_vertices
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise GraphError(f"CLIQUE_BUDGET_VERTICES must be an integer, got {env!r}") from None
     return DEFAULT_VERTEX_BUDGET
 
 
@@ -135,12 +138,7 @@ def cmd_geometric(args) -> int:
     g = gio.load_graph(args.file)
     if args.action == "build":
         gg = GeoBuilder(g).build(args.n, margin=args.margin)
-        payload = json.dumps(gg.to_dict(), sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _emit(json.dumps(gg.to_dict(), sort_keys=True) + "\n", args.out)
         return EXIT_OK
     report = verify_geometric_equivalence(g, args.n, margin=args.margin or None)
     print(json.dumps(report.to_dict(), sort_keys=True))
@@ -151,15 +149,15 @@ def cmd_cover(args) -> int:
     if args.action == "build":
         g = gio.load_graph(args.file)
         ball = universal_cover_ball(g, base=args.base, r=args.radius)
-        payload = json.dumps(ball.to_dict(), sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _emit(json.dumps(ball.to_dict(), sort_keys=True) + "\n", args.out)
         return EXIT_OK
+    if args.target is None:
+        raise GraphError("cover validate requires --target, the base graph file")
     with open(args.file) as fh:
-        ball_obj = json.load(fh)
+        try:
+            ball_obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GraphError(f"ball file {args.file} is not JSON: {exc}") from None
     for key in ("graph", "projection"):
         if not isinstance(ball_obj, dict) or not isinstance(ball_obj.get(key), dict):
             raise GraphError(f"ball file {args.file} has no {key!r} object")

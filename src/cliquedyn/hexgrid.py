@@ -8,7 +8,6 @@ ignores them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 
 from .cliques import max_cliques
@@ -357,9 +356,3 @@ def lhg_cliques_through_origin(lhg: LocalHexagonalGraph | None = None):
     if sorted(found, key=sorted) != sorted(expected.values(), key=sorted):
         raise AssertionError("clique families through the origin do not match")
     return sorted(found, key=sorted)
-
-
-@lru_cache(maxsize=64)
-def delta_graph(m: int) -> Graph:
-    """Cached structural graph of the side-m triangular patch."""
-    return gen_delta(m).graph

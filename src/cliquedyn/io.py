@@ -40,10 +40,21 @@ def graph_from_dict(obj: dict) -> Graph:
     for i, e in enumerate(edges):
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
             raise GraphError(f"malformed graph object: edges[{i}] = {e!r} is not an id pair")
-    labels = None
-    if "labels" in obj and obj["labels"]:
-        labels = {int(k): _freeze_label(v) for k, v in obj["labels"].items()}
+    labels = obj.get("labels") or None
+    if labels is not None:
+        if not isinstance(labels, dict):
+            raise GraphError(f"malformed graph object: labels = {labels!r} is not an object")
+        labels = {_label_key(k): _freeze_label(v) for k, v in labels.items()}
     return Graph(vertices, edges, name=obj.get("name", ""), labels=labels)
+
+
+def _label_key(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise GraphError(
+            f"malformed graph object: labels key {key!r} is not an integer id"
+        ) from None
 
 
 def _freeze_label(value):
@@ -120,15 +131,3 @@ def load_graph(path: str | Path) -> Graph:
     if p.suffix == ".json":
         return graph_from_json(text)
     return parse_edge_list(text)
-
-
-def save_graph(g: Graph, path: str | Path, fmt: str = "json") -> None:
-    p = Path(path)
-    if fmt == "json":
-        p.write_text(graph_to_json(g))
-    elif fmt == "dot":
-        p.write_text(to_dot(g))
-    elif fmt == "text":
-        p.write_text(edge_list_text(g))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

@@ -15,6 +15,7 @@ from . import hexgrid
 from .covers import universal_cover_ball, validate_covering_map
 from .generators import hex_torus
 from .geometric import verify_geometric_equivalence
+from .graph import GraphError
 from .isomorphism import find_isomorphism
 from .surface import disc_discharge_check, facet_edges, facets, maximal_straight_paths
 
@@ -106,8 +107,10 @@ def lhg_suite() -> SuiteResult:
 
 
 def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> SuiteResult:
-    """Neighbour counts for interior triangles plus pairwise compatibility
-    of the per-direction developments."""
+    """Neighbour counts for interior triangles, and for each sampled
+    triangle the images its chart extension realises (the six unit
+    translates, plus the twisted copy at side 3) against the triangles
+    ``neighbour_triangles`` reads off the chart list."""
     rng = random.Random(seed)
     patch = hexgrid.gen_hex_patch(radius)
     g = patch.graph
@@ -129,13 +132,15 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
             counts.setdefault(m, set()).add(len(nbrs))
             if len(nbrs) != expect:
                 failures.append(f"side {m} triangle has {len(nbrs)} neighbours")
-        # compatibility: one full extension equals each single-direction view
-        chart = charts_mod.chart_of_support(g, sample[0])
-        ext = charts_mod.extend_chart(g, chart)
-        for d in hexgrid.UNIT_STEPS:
-            img = ext.translate_image(d)
-            if img is None:
-                failures.append(f"direction {d} unrealised on an interior triangle")
+            ext = charts_mod.extend_chart(g, charts_mod.chart_of_support(g, sup))
+            images = {ext.translate_image(d) for d in hexgrid.UNIT_STEPS}
+            images.add(ext.twisted_image())
+            images.discard(None)
+            if images != set(nbrs):
+                failures.append(
+                    f"side {m} triangle at {min(sup)}: extension realises {len(images)}"
+                    f" images, neighbour_triangles finds {len(nbrs)}"
+                )
     counts = {m: sorted(v) for m, v in counts.items()}
     return SuiteResult(
         "chart-extension",
@@ -256,7 +261,7 @@ def run_suites(names, **overrides) -> list[SuiteResult]:
     chosen = list(SUITES) if names == ["all"] else names
     for name in chosen:
         if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}")
+            raise GraphError(f"unknown suite {name!r}")
     if overrides.get("m") is not None:
         overrides.setdefault("m_lo", overrides["m"])
         overrides.setdefault("m_hi", overrides["m"])

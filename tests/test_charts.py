@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from cliquedyn.charts import (
+    ChartConflictError,
     ChartError,
     MarginError,
     chart_of_support,
@@ -20,6 +21,8 @@ from cliquedyn.hexgrid import (
     gen_delta,
     gen_hex_patch,
 )
+from cliquedyn.graph import closed_neighbourhood, induced_subgraph
+from cliquedyn.isomorphism import induced_images
 
 
 def interior_support(g, m, depth):
@@ -125,8 +128,6 @@ def test_neighbour_triangle_counts(m, expected):
 
 
 def test_neighbour_triangles_live_in_neighbourhood(patch6):
-    from cliquedyn.graph import closed_neighbourhood
-
     g = patch6.graph
     support = interior_support(g, 2, 3)
     hood = closed_neighbourhood(g, support)
@@ -163,14 +164,11 @@ def test_chart_serialization(patch6):
 def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
     """The facet-anchored development and the generic backtracking search
     enumerate the same triangle images on every host family."""
-    from cliquedyn.hexgrid import delta_graph
-    from cliquedyn.isomorphism import induced_images
-
     hosts = [octa, icosa, t44, genus2, gen_hex_patch(4).graph, gen_delta(5).graph]
     for host in hosts:
         for m in (1, 2, 3):
             fast = set(charts_by_image(find_standard_charts(host, m)))
-            slow = set(induced_images(delta_graph(m), host))
+            slow = set(induced_images(gen_delta(m).graph, host))
             assert fast == slow
 
 
@@ -179,3 +177,58 @@ def test_chart_lists_are_computed_once_per_side():
     charts = find_standard_charts(g, 2)
     assert find_standard_charts(g, 2) is charts
     assert find_standard_charts(g, 3) is not charts
+
+
+def extension_images(g, support):
+    """The triangle images the chart extension of ``support`` realises."""
+    ext = extend_chart(g, chart_of_support(g, support))
+    images = {ext.translate_image(d) for d in UNIT_STEPS} | {ext.twisted_image()}
+    images.discard(None)
+    return images
+
+
+def brute_force_neighbours(g, support, m):
+    hood = closed_neighbourhood(g, support)
+    return set(induced_images(gen_delta(m).graph, induced_subgraph(g, hood))) - {support}
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_extension_matches_neighbour_triangles_on_the_grid(patch8, m):
+    g = patch8.graph
+    supports = [
+        img
+        for img in charts_by_image(find_standard_charts(g, m))
+        if min_boundary_distance(g, img) >= 3
+    ]
+    assert supports
+    for support in supports:
+        assert extension_images(g, support) == set(neighbour_triangles(g, support))
+
+
+def test_neighbour_triangles_where_extension_conflicts(genus2):
+    g = genus2
+    for support in sorted(charts_by_image(find_standard_charts(g, 3)), key=sorted):
+        try:
+            extension_images(g, support)
+        except ChartConflictError:
+            break
+    else:
+        pytest.fail("no side-3 triangle on the genus-2 surface has a conflicting extension")
+    assert set(neighbour_triangles(g, support)) == brute_force_neighbours(g, support, 3)
+
+
+def test_neighbour_triangles_beyond_the_unit_translates(genus2):
+    """Near the surgery a side-6 triangle's neighbourhood holds a seventh
+    triangle that is no unit translate of the extended chart."""
+    g = genus2
+    for support in sorted(charts_by_image(find_standard_charts(g, 6)), key=sorted):
+        found = set(neighbour_triangles(g, support))
+        try:
+            if extension_images(g, support) < found:
+                break
+        except ChartConflictError:
+            continue
+    else:
+        pytest.fail("every side-6 neighbourhood on the genus-2 surface is six translates")
+    assert len(found) == 7
+    assert found == brute_force_neighbours(g, support, 6)

@@ -59,6 +59,8 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
     [
         ('{"vertices":[null],"edges":[]}', "vertices[0]"),
         ('{"vertices":[0,1],"edges":[[0]]}', "edges[0]"),
+        ('{"vertices":[0],"edges":[],"labels":{"a":1}}', "labels key 'a'"),
+        ('{"vertices":[0],"edges":[],"labels":[1]}', "labels = [1]"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, field):
@@ -198,6 +200,9 @@ def test_iterate_budget_env(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "iterate", str(torus), "--steps", "4")
     assert code == 3
     assert json.loads(out.splitlines()[-1])["verdict"] == "budget_exceeded"
+    monkeypatch.setenv("CLIQUE_BUDGET_VERTICES", "abc")
+    code, _, err = run(capsys, "iterate", str(torus), "--steps", "4")
+    assert code == 2 and "CLIQUE_BUDGET_VERTICES must be an integer, got 'abc'" in err
 
 
 def test_geometric_verify_cli(tmp_path, capsys):
@@ -248,6 +253,7 @@ def test_cover_validate_detects_folding(tmp_path, capsys):
         (lambda obj: obj.pop("projection"), "has no 'projection' object"),
         (lambda obj: obj["projection"].update({"a": 0}), "projection keys must be vertex ids"),
         (lambda obj: obj["projection"].update({"0": [0]}), "projection values must be vertex ids"),
+        (lambda obj: "{broken", "is not JSON"),  # replaces the whole file
     ],
 )
 def test_cover_validate_names_a_malformed_ball(tmp_path, capsys, edit, message):
@@ -256,10 +262,19 @@ def test_cover_validate_names_a_malformed_ball(tmp_path, capsys, edit, message):
     run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
     run(capsys, "cover", "build", str(torus), "--radius", "2", "--out", str(ball))
     obj = json.loads(ball.read_text())
-    edit(obj)
-    ball.write_text(json.dumps(obj))
+    text = edit(obj)
+    ball.write_text(text if isinstance(text, str) else json.dumps(obj))
     code, _, err = run(capsys, "cover", "validate", str(ball), "--target", str(torus))
-    assert code == 2 and message in err
+    assert code == 2 and message in err and f"ball file {ball}" in err
+
+
+def test_cover_validate_requires_target(tmp_path, capsys):
+    torus = tmp_path / "t.json"
+    ball = tmp_path / "ball.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    run(capsys, "cover", "build", str(torus), "--radius", "2", "--out", str(ball))
+    code, out, err = run(capsys, "cover", "validate", str(ball))
+    assert code == 2 and out == "" and "requires --target" in err
 
 
 def test_verify_lemmas_cli(capsys):
@@ -286,4 +301,4 @@ def test_verify_lemmas_has_no_jobs_option(capsys):
 
 def test_verify_lemmas_unknown_suite(capsys):
     code, _, err = run(capsys, "verify-lemmas", "nope")
-    assert code == 2 and "error" in err
+    assert code == 2 and err == "error: unknown suite 'nope'\n"

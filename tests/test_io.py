@@ -43,6 +43,8 @@ def test_malformed_json_raises():
         ('{"vertices": [0, "1"], "edges": []}', "vertices[1]"),
         ('{"vertices": [0, 1], "edges": [[0, 1], [0]]}', "edges[1]"),
         ('{"vertices": [0, 1], "edges": [[0, 1.5]]}', "edges[0]"),
+        ('{"vertices": [0], "edges": [], "labels": {"a": 1}}', "labels key 'a'"),
+        ('{"vertices": [0], "edges": [], "labels": [1]}', "labels = [1]"),
     ],
 )
 def test_malformed_entries_are_named(text, field):

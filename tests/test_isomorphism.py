@@ -10,7 +10,7 @@ from cliquedyn import cliques
 from cliquedyn.cliques import clique_graph, iterate_k
 from cliquedyn.generators import hex_torus, octahedron
 from cliquedyn.graph import Graph
-from cliquedyn.hexgrid import delta_graph, gen_delta
+from cliquedyn.hexgrid import gen_delta
 from cliquedyn.isomorphism import (
     BudgetExceededError,
     _CanonSearch,
@@ -131,15 +131,15 @@ def test_exactness_against_brute_force(gp):
 
 
 def test_induced_embeddings_count_triangles(octa):
-    images = induced_images(delta_graph(1), octa)
+    images = induced_images(gen_delta(1).graph, octa)
     assert len(images) == 8
-    embeddings = list(induced_embeddings(delta_graph(1), octa))
+    embeddings = list(induced_embeddings(gen_delta(1).graph, octa))
     assert len(embeddings) == 48  # six charts per facet
 
 
 def test_induced_embeddings_require_induced():
     # the 4-cycle contains paths of length 2 but no induced triangle
-    assert induced_images(delta_graph(1), cycle_graph(4)) == []
+    assert induced_images(gen_delta(1).graph, cycle_graph(4)) == []
 
 
 def test_empty_pattern_embeds_once(octa):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cliquedyn.graph import GraphError
 from cliquedyn.lemmas import (
     SUITES,
     chart_extension_suite,
@@ -53,7 +54,7 @@ def test_discharge_suite_seeded():
 
 
 def test_run_suites_rejects_unknown():
-    with pytest.raises(KeyError):
+    with pytest.raises(GraphError, match="unknown suite 'bogus'"):
         run_suites(["bogus"])
 
 
