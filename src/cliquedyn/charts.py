@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from .graph import Graph, closed_neighbourhood
+from .graph import Graph, GraphError, closed_neighbourhood
 from .hexgrid import (
     UNIT_STEPS,
     Coord,
@@ -28,7 +28,7 @@ from .hexgrid import (
 from .surface import SurfaceReport, boundary_distance, facets, validate_surface
 
 
-class ChartError(ValueError):
+class ChartError(GraphError):
     pass
 
 
@@ -263,10 +263,13 @@ def _lattice_facet_thirds(a: Coord, b: Coord) -> tuple[Coord, Coord]:
 def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
     """Extend a standard chart across the neighbourhood of its image.
 
-    Every same-size triangle inside the closed neighbourhood of the image
-    becomes the image of a unit translate of the domain (plus the twisted
-    copy when m = 3).  On hosts with a boundary, the image must keep
-    distance at least 2 from it."""
+    On grid-like neighbourhoods every same-size triangle inside the closed
+    neighbourhood of the image becomes the image of a unit translate of the
+    domain (plus the twisted copy when m = 3).  Elsewhere the extension may
+    miss some of them or realise images that are no triangles, so
+    ``neighbour_triangles`` is the definition of those neighbours.  On
+    hosts with a boundary, the image must keep distance at least 2 from
+    it."""
     m = chart.m
     if m < 3:
         raise ChartError("chart extension needs side length at least 3")

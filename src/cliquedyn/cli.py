@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success or verdict, 1 verification failure, 2 input error,
-3 budget exceeded.
+3 budget exceeded.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def cmd_cover(args) -> int:
     with open(args.file) as fh:
         try:
             ball_obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphError(f"ball file {args.file} is not JSON: {exc}") from None
     for key in ("graph", "projection"):
         if not isinstance(ball_obj, dict) or not isinstance(ball_obj.get(key), dict):
@@ -263,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--radius", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--m", type=int, default=None, help="single side length for inclusion")
+    p.add_argument(
+        "--m", type=int, default=None, help="single side length for inclusion and straight-paths"
+    )
     p.add_argument(
         "--n", "--n-max", type=int, default=None, dest="n_max", help="top level for equivalence"
     )
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphError, KeyError, OSError, IndexError, ValueError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

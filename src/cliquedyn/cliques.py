@@ -9,8 +9,10 @@ is a first-class verdict rather than an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Iterable
 
-from .graph import Graph
+from .graph import Graph, GraphError
 from .isomorphism import BudgetError, canonical_hash, find_isomorphism
 
 DEFAULT_VERTEX_BUDGET = 500_000
@@ -53,6 +55,19 @@ def max_cliques(
     return out
 
 
+def intersection_edges(sets: Iterable[Iterable[int]]) -> set[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, of the sets that share a member:
+    the edge rule of the clique graph."""
+    holders: dict[int, list[int]] = {}
+    for i, s in enumerate(sets):
+        for v in s:
+            holders.setdefault(v, []).append(i)
+    edges: set[tuple[int, int]] = set()
+    for ids in holders.values():
+        edges.update(combinations(ids, 2))
+    return edges
+
+
 def clique_graph(
     g: Graph,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -64,18 +79,9 @@ def clique_graph(
     clique vertices stay traceable to their supports.
     """
     cliques = max_cliques(g, node_budget, clique_cap)
-    member_index: dict[int, list[int]] = {}
-    for i, c in enumerate(cliques):
-        for v in c:
-            member_index.setdefault(v, []).append(i)
-    edges = set()
-    for ids in member_index.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.add((ids[a], ids[b]))
     return Graph(
         range(len(cliques)),
-        edges,
+        intersection_edges(cliques),
         name=f"k({g.name})" if g.name else "",
         labels={i: tuple(sorted(c)) for i, c in enumerate(cliques)},
     )
@@ -131,6 +137,8 @@ def iterate_k(
     exactly; digests over all previous iterates catch periodic behaviour,
     not just fixed points.
     """
+    if max_steps < 0:
+        raise GraphError(f"number of steps must be non-negative, got {max_steps}")
     steps: list[TraceStep] = []
     graphs: list[Graph] = [g]
     seen: dict[str, list[int]] = {}

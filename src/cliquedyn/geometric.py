@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .charts import Chart, charts_by_image, find_standard_charts
-from .cliques import max_cliques
-from .graph import Graph, GraphError, closed_neighbourhood
+from .cliques import intersection_edges, max_cliques
+from .graph import Graph, GraphError, closed_neighbourhood, common_neighbourhood
 from .hexgrid import BASIS, classify_triangle_coords
 from .surface import SurfaceReport, boundary_distance, facets, validate_surface
 
@@ -44,31 +44,27 @@ class GeoVertex:
 
 
 class GeoGraph:
-    """Immutable level graph over a fixed host."""
+    """Immutable level graph over a fixed host: ``graph`` on the ids
+    0..len-1, with the level, support and chart of every vertex."""
 
-    def __init__(self, host, n, margin, verts, charts, adj, bdist):
+    def __init__(self, host, n, margin, verts, charts, graph, membership, bdist):
         self.host: Graph = host
         self.n: int = n
         self.margin: int = margin
         self.verts: list[GeoVertex] = verts
         self.charts: list[Chart | None] = charts
-        self.adj: list[frozenset[int]] = [frozenset(a) for a in adj]
+        self.graph: Graph = graph
+        self.membership: dict[int, list[int]] = membership  # host vertex -> ids
         self.bdist: dict[int, float] = bdist
         self.support_index: dict[frozenset[int], int] = {
             v.support: i for i, v in enumerate(verts)
         }
         self.by_level: dict[int, list[int]] = {}
-        self.membership: dict[int, list[int]] = {}
         for i, v in enumerate(verts):
             self.by_level.setdefault(v.level, []).append(i)
-            for host_v in v.support:
-                self.membership.setdefault(host_v, []).append(i)
 
     def __len__(self) -> int:
         return len(self.verts)
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
 
     def gid(self, support) -> int:
         try:
@@ -77,16 +73,7 @@ class GeoGraph:
             raise GeoError(f"no vertex with support {sorted(support)}") from None
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
-
-    def as_graph(self) -> Graph:
-        edges = [(i, j) for i in range(len(self.verts)) for j in self.adj[i] if i < j]
-        return Graph(
-            range(len(self.verts)),
-            edges,
-            name=f"levels<=({self.n})",
-            labels={i: (v.level, tuple(sorted(v.support))) for i, v in enumerate(self.verts)},
-        )
+        return self.graph.edge_count
 
     def to_dict(self) -> dict:
         return {
@@ -95,7 +82,7 @@ class GeoGraph:
             "vertices": [
                 {"level": v.level, "support": sorted(v.support)} for v in self.verts
             ],
-            "edges": [[i, j] for i in range(len(self.verts)) for j in self.adj[i] if i < j],
+            "edges": [list(e) for e in self.graph.edges()],
         }
 
 
@@ -146,11 +133,9 @@ class GeoBuilder:
             for v in gv.support:
                 membership.setdefault(v, []).append(i)
 
-        adj: list[set[int]] = [set() for _ in verts]
-
-        def connect(i: int, j: int) -> None:
-            adj[i].add(j)
-            adj[j].add(i)
+        # edges in the order the rules find them, which fixes the edge order
+        # of to_dict; a same-size pair found from both sides counts once
+        edges: list[tuple[int, int]] = []
 
         @cache
         def support_boundary(i: int) -> frozenset[int]:
@@ -167,24 +152,21 @@ class GeoBuilder:
                 candidates.update(membership.get(v, ()))
             candidates.discard(i)
             for j in sorted(candidates):
-                if j in adj[i]:
-                    continue
                 other = verts[j]
                 if other.level == gv.level:
                     # same size: containment of one in the other's neighbourhood
                     if other.support <= hood:
-                        connect(i, j)
+                        edges.append((i, j))
                 elif other.level < gv.level and other.support <= gv.support:
                     gap = gv.level - other.level
-                    if gap == 2:
-                        connect(i, j)
-                    elif gap == 4:
-                        if not (other.support & support_boundary(i)):
-                            connect(i, j)
-                    elif gap == 6:
-                        if not (other.support & support_boundary_hood(i)):
-                            connect(i, j)
-        return GeoGraph(self.host, n, margin, verts, charts, adj, self.bdist)
+                    if (
+                        gap == 2
+                        or (gap == 4 and not other.support & support_boundary(i))
+                        or (gap == 6 and not other.support & support_boundary_hood(i))
+                    ):
+                        edges.append((i, j))
+        graph = Graph(range(len(verts)), edges, name=f"levels<=({n})")
+        return GeoGraph(self.host, n, margin, verts, charts, graph, membership, self.bdist)
 
 
 def build_geo(host: Graph, n: int, interior_margin: int = 0) -> GeoGraph:
@@ -194,55 +176,32 @@ def build_geo(host: Graph, n: int, interior_margin: int = 0) -> GeoGraph:
 # -- clique constructions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeoClique:
-    members: frozenset[int]
-    kind: str  # "triangle" | "vertex"
-    anchor: tuple = ()
-
-
-def common_geo_neighbourhood(gg: GeoGraph, gids) -> frozenset[int]:
-    gids = list(gids)
-    if not gids:
-        raise GeoError("common neighbourhood of nothing")
-    acc = set(gg.adj[gids[0]])
-    for i in gids[1:]:
-        acc &= gg.adj[i]
-    return frozenset(acc | set(gids))
-
-
-def _check_clique(gg: GeoGraph, members: frozenset[int], context: str) -> None:
+def _clique_around(gg: GeoGraph, gids, context: str) -> frozenset[int]:
+    """The common neighbourhood of ``gids``, checked to be a clique.  It is
+    then maximal: a vertex adjacent to all of it is adjacent to all of
+    ``gids``, so it is already a member."""
+    members = common_neighbourhood(gg.graph, gids)
     ms = sorted(members)
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            if ms[b] not in gg.adj[ms[a]]:
+    for a, u in enumerate(ms):
+        for w in ms[a + 1 :]:
+            if not gg.graph.has_edge(u, w):
                 raise GeoError(
-                    f"{context}: members {gg.verts[ms[a]]} and {gg.verts[ms[b]]} are not adjacent"
+                    f"{context}: members {gg.verts[u]} and {gg.verts[w]} are not adjacent"
                 )
-    extenders = set(gg.adj[ms[0]])
-    for i in ms[1:]:
-        extenders &= gg.adj[i]
-    extenders -= members
-    if extenders:
-        raise GeoError(f"{context}: not maximal, extender {gg.verts[min(extenders)]}")
+    return members
 
 
-def clique_from_triangle(gg: GeoGraph, chart: Chart) -> GeoClique:
+def clique_from_triangle(gg: GeoGraph, chart: Chart) -> frozenset[int]:
     """The clique anchored at a triangle one size above its corner children:
     the common neighbourhood of the three corner children of the chart."""
     m = chart.m - 1
     if m > gg.n or (m - gg.n) % 2 != 0:
         raise GeoError(f"children of level {m} do not exist at n={gg.n}")
-    children = []
-    for e in BASIS:
-        support = chart.sub_support(e, m)
-        children.append(gg.gid(support))
-    members = common_geo_neighbourhood(gg, children)
-    _check_clique(gg, members, "triangle clique")
-    return GeoClique(members, "triangle", tuple(sorted(chart.image)))
+    children = [gg.gid(chart.sub_support(e, m)) for e in BASIS]
+    return _clique_around(gg, children, "triangle clique")
 
 
-def clique_from_vertex(gg: GeoGraph, v: int) -> GeoClique:
+def clique_from_vertex(gg: GeoGraph, v: int) -> frozenset[int]:
     """For odd n: the common neighbourhood of all facets through a vertex."""
     if gg.n % 2 != 1:
         raise GeoError("vertex cliques need an odd n")
@@ -254,40 +213,30 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> GeoClique:
         raise GeoMarginError(
             f"umbrella of vertex {v} is not fully inside the margin"
         )
-    members = common_geo_neighbourhood(gg, fan)
-    _check_clique(gg, members, "vertex clique")
-    return GeoClique(members, "vertex", (v,))
+    return _clique_around(gg, fan, "vertex clique")
 
 
-def clique_summary(gg: GeoGraph, source, check: bool = True) -> frozenset[int]:
+def clique_summary(gg: GeoGraph, source) -> frozenset[int]:
     """Closed-form member list of the clique attached to a next-level vertex.
 
     ``source`` is a host vertex id for level 0, otherwise a chart of the
-    next-level triangle.  With ``check`` the result is compared against
-    the constructive common-neighbourhood computation.
+    next-level triangle.  The result is compared against the constructive
+    common-neighbourhood computation.
     """
     if isinstance(source, Chart):
         members = _summary_from_chart(gg, source)
-        if check:
-            built = clique_from_triangle(gg, source).members
-            if built != members:
-                raise GeoError("summary and construction disagree")
-        return members
-    v = int(source)
-    members = set()
-    for i in gg.membership.get(v, ()):
-        gv = gg.verts[i]
-        if gv.level == 1:
-            members.add(i)
-        elif gv.level == 3:
-            ch = gg.charts[i]
-            if ch[(1, 1, 1)] == v:
-                members.add(i)
-    members = frozenset(members)
-    if check:
-        built = clique_from_vertex(gg, v).members
-        if built != members:
-            raise GeoError("summary and construction disagree")
+        built = clique_from_triangle(gg, source)
+    else:
+        v = int(source)
+        members = frozenset(
+            i
+            for i in gg.membership.get(v, ())
+            if gg.verts[i].level == 1
+            or (gg.verts[i].level == 3 and gg.charts[i][(1, 1, 1)] == v)
+        )
+        built = clique_from_vertex(gg, v)
+    if built != members:
+        raise GeoError("summary and construction disagree")
     return members
 
 
@@ -388,7 +337,7 @@ def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     margin = gg_next.margin
     deep = 0
     missing = []
-    for clique in max_cliques(gg_n.as_graph()):
+    for clique in max_cliques(gg_n.graph):
         if all(
             min(bdist[v] for v in gg_n.verts[i].support) >= margin for i in clique
         ):
@@ -455,29 +404,14 @@ def verify_geometric_equivalence(
         )
 
     # adjacency in the next level graph must match clique intersection
-    member_to: dict[int, list[int]] = {}
-    for i, clique in cmr.mapping.items():
-        for member in clique:
-            member_to.setdefault(member, []).append(i)
-    intersecting: set[frozenset[int]] = set()
-    for ids in member_to.values():
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                intersecting.add(frozenset((ids[a], ids[b])))
-    edges_next = {
-        frozenset((i, j))
-        for i in range(len(gg_next.verts))
-        for j in gg_next.adj[i]
-        if i < j
-    }
+    intersecting = intersection_edges(list(cmr.mapping.values()))
+    edges_next = set(gg_next.graph.edges())
     extra = intersecting - edges_next
     lost = edges_next - intersecting
     if extra:
-        pair = sorted(next(iter(extra)))
-        failures.append(f"cliques intersect for non-adjacent pair {pair}")
+        failures.append(f"cliques intersect for non-adjacent pair {list(min(extra))}")
     if lost:
-        pair = sorted(next(iter(lost)))
-        failures.append(f"adjacent pair {pair} has disjoint cliques")
+        failures.append(f"adjacent pair {list(min(lost))} has disjoint cliques")
 
     return EquivalenceReport(
         ok=not failures,

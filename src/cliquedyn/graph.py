@@ -96,7 +96,10 @@ class Graph:
         return v in self._adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as sorted (u, v) pairs with u < v, in sorted order."""
+        """Edges as pairs (u, v) with u < v, by increasing u; the v of one u
+        come in the iteration order of its neighbour set, which depends on
+        the order the edges were given in, so equal graphs may list them
+        differently."""
         for u in self._vertices:
             for v in self._adj[u]:
                 if u < v:

@@ -1,7 +1,10 @@
-"""Graph serialization: canonical JSON, edge-list text, and DOT export.
+"""Graph serialization: JSON, edge-list text, and DOT export.
 
-The JSON writer is canonical (sorted keys, fixed separators, trailing
-newline) so that regenerating any committed fixture is bit-identical.
+The JSON writer is deterministic (sorted keys, fixed separators, trailing
+newline, edges in ``Graph.edges`` order), so regenerating any committed
+fixture the same way is bit-identical.  It is not canonical: two equal
+graphs built from their edges in different orders may serialise
+differently.
 """
 
 from __future__ import annotations
@@ -127,7 +130,10 @@ def to_dot(g: Graph) -> str:
 def load_graph(path: str | Path) -> Graph:
     """Load a graph from a ``.json`` or edge-list file, by extension."""
     p = Path(path)
-    text = p.read_text()
+    try:
+        text = p.read_text()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"graph file {path} is not UTF-8 text: {exc}") from None
     if p.suffix == ".json":
         return graph_from_json(text)
     return parse_edge_list(text)

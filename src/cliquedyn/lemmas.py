@@ -30,6 +30,13 @@ class SuiteResult:
         return {"suite": self.name, "ok": self.ok, **self.detail}
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a parameter with which a suite would crash, fail for want of
+    room, or pass with nothing checked."""
+    if not ok:
+        raise GraphError(message)
+
+
 def expected_straight_walks(m: int) -> set[tuple]:
     """The nine coordinate walks of the three straight families inside the
     side-m patch: the boundary side, the line one step above it, and the
@@ -48,6 +55,7 @@ def expected_straight_walks(m: int) -> set[tuple]:
 
 
 def straight_paths_suite(m_lo: int = 4, m_hi: int = 8) -> SuiteResult:
+    _require(m_lo >= 4, f"straight-paths needs side lengths of at least 4, got {m_lo}")
     counts = {}
     ok = True
     for m in range(m_lo, m_hi + 1):
@@ -69,6 +77,7 @@ def straight_paths_suite(m_lo: int = 4, m_hi: int = 8) -> SuiteResult:
 def inclusion_suite(m_lo: int = 1, m_hi: int = 8) -> SuiteResult:
     """Brute-force triangle inclusion classification against the expected
     exceptional counts."""
+    _require(m_lo >= 1, f"inclusion needs side lengths of at least 1, got {m_lo}")
     detail = {}
     ok = True
     for m in range(m_lo, m_hi + 1):
@@ -111,6 +120,8 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
     triangle the images its chart extension realises (the six unit
     translates, plus the twisted copy at side 3) against the triangles
     ``neighbour_triangles`` reads off the chart list."""
+    # side-5 triangles at distance 3 from the rim need radius 7
+    _require(radius >= 7, f"chart-extension needs radius at least 7, got {radius}")
     rng = random.Random(seed)
     patch = hexgrid.gen_hex_patch(radius)
     g = patch.graph
@@ -150,6 +161,12 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
 
 
 def equivalence_suite(radius: int = 12, n_max: int = 3) -> SuiteResult:
+    _require(n_max >= 0, f"equivalence needs n of at least 0, got {n_max}")
+    # below radius n + 4, level n + 1 has at most one vertex inside the margin n + 3
+    _require(
+        radius >= n_max + 4,
+        f"equivalence at n = {n_max} needs radius at least {n_max + 4}, got {radius}",
+    )
     patch = hexgrid.gen_hex_patch(radius)
     results = {}
     ok = True
@@ -233,6 +250,9 @@ def _rim_walk(all_facets, region) -> tuple[int, ...] | None:
 
 
 def discharge_suite(radius: int = 8, count: int = 100, seed: int = 2024) -> SuiteResult:
+    # the random discs keep off the rim: radius 2 leaves no facet to start from
+    _require(radius >= 3, f"discharge needs radius at least 3, got {radius}")
+    _require(count >= 1, f"discharge needs count at least 1, got {count}")
     rng = random.Random(seed)
     patch = hexgrid.gen_hex_patch(radius)
     residuals = set()

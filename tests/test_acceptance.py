@@ -136,7 +136,7 @@ def test_criterion_6_level_profile_of_the_side4_patch():
         gg = build_geo(d4.graph, 4)
         top = gg.gid(d4.graph.vertex_set)
         by_level: dict[int, int] = {}
-        for j in gg.adj[top]:
+        for j in gg.graph.neighbors(top):
             by_level[gg.verts[j].level] = by_level.get(gg.verts[j].level, 0) + 1
         assert by_level == {0: 3, 2: 7}
     report(6, "side-4 patch sees 3 level-0 and 7 level-2 neighbours", t)

@@ -21,7 +21,7 @@ from cliquedyn.hexgrid import (
     gen_delta,
     gen_hex_patch,
 )
-from cliquedyn.graph import closed_neighbourhood, induced_subgraph
+from cliquedyn.graph import GraphError, closed_neighbourhood, induced_subgraph
 from cliquedyn.isomorphism import induced_images
 
 
@@ -99,6 +99,10 @@ def test_non_triangular_support_is_rejected():
         chart_of_support(g, support)
     with pytest.raises(ChartError):
         neighbour_triangles(g, support)
+
+
+def test_chart_errors_are_input_errors():
+    assert issubclass(ChartError, GraphError)
 
 
 def test_extension_needs_side_three():

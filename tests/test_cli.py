@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cliquedyn import lemmas
+from cliquedyn import cli, lemmas
 from cliquedyn.cli import main
 from cliquedyn.isomorphism import BudgetError
 from cliquedyn.io import graph_from_json, graph_to_json, load_graph
@@ -302,3 +302,57 @@ def test_verify_lemmas_has_no_jobs_option(capsys):
 def test_verify_lemmas_unknown_suite(capsys):
     code, _, err = run(capsys, "verify-lemmas", "nope")
     assert code == 2 and err == "error: unknown suite 'nope'\n"
+
+
+def test_undecodable_files_are_named(tmp_path, capsys):
+    torus = tmp_path / "t.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    for name in ("bad.json", "bad.txt"):
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff{}")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 2 and f"error: graph file {bad} is not UTF-8 text" in err
+    code, _, err = run(capsys, "cover", "validate", str(bad), "--target", str(torus))
+    assert code == 2 and f"error: ball file {bad} is not JSON" in err
+
+
+def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
+    torus = tmp_path / "t.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+
+    def broken(g):
+        raise KeyError(0)
+
+    monkeypatch.setattr(cli, "decide_finite", broken)
+    with pytest.raises(KeyError):
+        main(["decide", str(torus)])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-lemmas", "discharge", "--radius", "2"], "discharge needs radius at least 3, got 2"),
+        (["verify-lemmas", "discharge", "--count", "0"], "discharge needs count at least 1, got 0"),
+        (
+            ["verify-lemmas", "straight-paths", "--m", "3"],
+            "straight-paths needs side lengths of at least 4, got 3",
+        ),
+        (["verify-lemmas", "inclusion", "--m", "0"], "inclusion needs side lengths of at least 1, got 0"),
+        (["verify-lemmas", "equivalence", "--n", "-1"], "equivalence needs n of at least 0, got -1"),
+        (
+            ["verify-lemmas", "equivalence", "--n", "2", "--radius", "5"],
+            "equivalence at n = 2 needs radius at least 6, got 5",
+        ),
+        (
+            ["verify-lemmas", "chart-extension", "--radius", "0"],
+            "chart-extension needs radius at least 7, got 0",
+        ),
+        (["iterate", "TORUS", "--steps", "-1"], "number of steps must be non-negative, got -1"),
+    ],
+)
+def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, message):
+    torus = tmp_path / "t.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    argv = [str(torus) if a == "TORUS" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

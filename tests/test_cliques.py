@@ -5,6 +5,7 @@ import pytest
 from cliquedyn.cliques import (
     BudgetError,
     clique_graph,
+    intersection_edges,
     iterate_k,
     max_cliques,
 )
@@ -147,3 +148,8 @@ def test_iterate_path_collapses_to_a_point():
     assert trace.verdict == "converged"
     repeat = trace.graphs[trace.converged_at + trace.period]
     assert is_isomorphic(trace.graphs[trace.converged_at], repeat)
+
+
+def test_intersection_edges_pair_the_sets_that_meet():
+    sets = [{0, 1}, {1, 2}, {3}, {0, 3}, set()]
+    assert intersection_edges(sets) == {(0, 1), (0, 3), (2, 3)}

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from cliquedyn import geometric
 from cliquedyn.charts import chart_of_support, charts_by_image, find_standard_charts
+from cliquedyn.covers import universal_cover_ball
 from cliquedyn.geometric import (
     GeoBuilder,
     GeoError,
@@ -22,6 +24,7 @@ from cliquedyn.hexgrid import (
     gen_hex_patch,
     sub,
 )
+from helpers import degree_seven_surface, genus2_surface
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +40,7 @@ def test_level_zero_graph_matches_host_interior():
     for i, gv in enumerate(gg.verts):
         (v,) = gv.support
         expected = {w for w in patch.graph.neighbors(v) if w in interior}
-        got = {next(iter(gg.verts[j].support)) for j in gg.adj[i]}
+        got = {next(iter(gg.verts[j].support)) for j in gg.graph.neighbors(i)}
         assert got == expected
 
 
@@ -46,7 +49,7 @@ def test_delta4_region_adjacency_profile():
     gg = build_geo(d4.graph, 4)
     top = gg.gid(d4.graph.vertex_set)
     by_level = {}
-    for j in gg.adj[top]:
+    for j in gg.graph.neighbors(top):
         by_level[gg.verts[j].level] = by_level.get(gg.verts[j].level, 0) + 1
     assert by_level == {0: 3, 2: 7}
 
@@ -70,18 +73,18 @@ def test_vertex_clique_with_six_regular_centre(patch9_builder):
         v for v in gg3.host.vertices if builder.bdist[v] >= 6
     )
     clique = clique_from_vertex(gg3, patch_centre)
-    levels = sorted(gg3.verts[i].level for i in clique.members)
+    levels = sorted(gg3.verts[i].level for i in clique)
     assert levels == [1, 1, 1, 1, 1, 1, 3, 3]
     gg1 = builder.build(1, margin=0)
     clique1 = clique_from_vertex(gg1, patch_centre)
-    assert sorted(gg1.verts[i].level for i in clique1.members) == [1] * 6
+    assert sorted(gg1.verts[i].level for i in clique1) == [1] * 6
 
 
 def test_vertex_clique_at_degree_seven_vertex(genus2):
     gg3 = build_geo(genus2, 3)
     v7 = next(v for v in genus2.vertices if genus2.degree(v) == 7)
     clique = clique_from_vertex(gg3, v7)
-    assert sorted(gg3.verts[i].level for i in clique.members) == [1] * 7
+    assert sorted(gg3.verts[i].level for i in clique) == [1] * 7
 
 
 def test_triangle_clique_contains_central_intersection(patch9_builder):
@@ -98,7 +101,7 @@ def test_triangle_clique_contains_central_intersection(patch9_builder):
     chart = builder.images(5)[support]
     clique = clique_from_triangle(gg4, chart)
     central = chart.sub_support((1, 1, 1), 2)
-    assert gg4.gid(central) in clique.members
+    assert gg4.gid(central) in clique
 
 
 def test_summary_matches_construction_across_levels(patch9_builder):
@@ -115,8 +118,8 @@ def test_summary_matches_construction_across_levels(patch9_builder):
             key=sorted,
         )[0]
         chart = builder.images(level)[support]
-        members = clique_summary(gg, chart)  # check=True compares internally
-        assert members == clique_from_triangle(gg, chart).members
+        members = clique_summary(gg, chart)  # compares with the construction itself
+        assert members == clique_from_triangle(gg, chart)
 
 
 def test_summary_level_two_contains_inverted_centre(patch9_builder):
@@ -154,7 +157,7 @@ def test_same_level_adjacency_is_symmetric_in_the_deep_interior(patch9_builder):
     host = gg.host
     for i in gg.by_level[3]:
         hood_i = closed_neighbourhood(host, gg.verts[i].support)
-        for j in gg.adj[i]:
+        for j in gg.graph.neighbors(i):
             if gg.verts[j].level != 3:
                 continue
             hood_j = closed_neighbourhood(host, gg.verts[j].support)
@@ -180,10 +183,10 @@ def test_offset_rule_matches_containment_adjacency():
             if t == s:
                 continue
             gid_t = gg.gid(base.sub_support(t, 3))
-            assert gg.adjacent(gid_s, gid_t) == (sub(t, s) in OFFSETS_BY_GAP[0])
+            assert gg.graph.has_edge(gid_s, gid_t) == (sub(t, s) in OFFSETS_BY_GAP[0])
         for t in anchors1:
             gid_t = gg.gid(base.sub_support(t, 1))
-            assert gg.adjacent(gid_s, gid_t) == (sub(t, s) in OFFSETS_BY_GAP[2])
+            assert gg.graph.has_edge(gid_s, gid_t) == (sub(t, s) in OFFSETS_BY_GAP[2])
 
 
 def test_c_map_certificates(patch9_builder):
@@ -231,7 +234,7 @@ def test_level_graph_matches_iterated_cliques_below_wrap_threshold():
         torus = hex_torus(p, q)
         trace = iterate_k(torus, n_good)
         for n in range(1, n_good + 1):
-            level = build_geo(torus, n).as_graph()
+            level = build_geo(torus, n).graph
             assert find_isomorphism(level, trace.graphs[n]) is not None
 
 
@@ -243,7 +246,7 @@ def test_level_graph_overcounts_once_neighbourhoods_wrap():
     from cliquedyn.generators import hex_torus
 
     torus = hex_torus(4, 4)
-    level = build_geo(torus, 2).as_graph()
+    level = build_geo(torus, 2).graph
     k2 = iterate_k(torus, 2).graphs[2]
     assert level.n == k2.n == 48
     assert level.edge_count > k2.edge_count
@@ -281,3 +284,30 @@ def test_verify_shares_charts_through_the_host_not_a_builder():
     with pytest.raises(TypeError):
         verify_geometric_equivalence(host, 0, builder=GeoBuilder(host))
     assert verify_geometric_equivalence(host, 0).ok
+
+
+@pytest.mark.parametrize(
+    "surface, radius, expected",
+    [
+        (genus2_surface, 9, [(491, 491), (408, 331), (218, 133), (109, 30)]),
+        (degree_seven_surface, 6, [(112, 112), (43, 22), (7, 0), (1, 0)]),
+    ],
+)
+def test_verify_equivalence_on_cover_balls_of_non_grid_surfaces(surface, radius, expected):
+    """Cover balls of surfaces with degree-7 vertices are patches whose
+    interiors are not hexagonal grids; the correspondence still holds."""
+    g = surface()
+    host = universal_cover_ball(g, base=g.vertices[0], r=radius).graph
+    got = []
+    for n in range(4):
+        report = verify_geometric_equivalence(host, n)
+        assert report.ok, report.failures
+        got.append((report.next_vertices, report.deep_cliques))
+    assert got == expected
+
+
+def test_verify_compares_adjacency_with_clique_intersection(monkeypatch):
+    monkeypatch.setattr(geometric, "intersection_edges", lambda sets: set())
+    report = verify_geometric_equivalence(gen_hex_patch(8).graph, 0)
+    assert not report.ok
+    assert any("has disjoint cliques" in f for f in report.failures)
