@@ -14,7 +14,7 @@ import sys
 from . import io as gio
 from . import lemmas
 from .cliques import DEFAULT_VERTEX_BUDGET, clique_graph, iterate_k
-from .covers import decide_finite, universal_cover_ball, validate_covering_map
+from .covers import CoverError, decide_finite, universal_cover_ball, validate_covering_map
 from .generators import hex_torus, icosahedron, octahedron
 from .geometric import GeoBuilder, verify_geometric_equivalence
 from .graph import GraphError
@@ -169,7 +169,10 @@ def cmd_cover(args) -> int:
     if any(type(v) is not int for v in projection.values()):
         raise GraphError(f"ball file {args.file}: projection values must be vertex ids")
     target = gio.load_graph(args.target)
-    report = validate_covering_map(projection, source, target)
+    try:
+        report = validate_covering_map(projection, source, target)
+    except CoverError as exc:
+        raise CoverError(f"ball file {args.file}: {exc}") from None
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK if report.ok else EXIT_FAIL
 

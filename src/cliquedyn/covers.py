@@ -231,6 +231,9 @@ def validate_covering_map(
     for v in source.vertices:
         if v not in p or p[v] not in target:
             raise CoverError(f"map does not cover vertex {v}")
+    stray = next((k for k in p if k not in source), None)
+    if stray is not None:
+        raise CoverError(f"projection key {stray} is not a vertex of the source graph")
     for u, v in source.edges():
         if p[u] == p[v] or not target.has_edge(p[u], p[v]):
             raise CoverError(f"not a homomorphism on edge ({u},{v})")

@@ -390,9 +390,12 @@ def verify_geometric_equivalence(
 
     gg_n = builder.build(n, margin=0)
     gg_next = builder.build(n + 1, margin=margin)
-    failures: list[str] = []
     if not len(gg_next):
-        failures.append("no next-level vertices inside the margin")
+        raise GeoError(
+            f"host too small: no level-{n + 1} vertex lies at least {margin} "
+            "from the boundary, so nothing can be checked"
+        )
+    failures: list[str] = []
 
     cmr = c_map(gg_n, gg_next)
     if cmr.collisions:

@@ -1,15 +1,32 @@
 """Exact isomorphism testing, canonical hashing, and induced-subgraph search.
 
-The canonical form is computed by colour refinement plus individualisation
-backtracking, taking the lexicographically least adjacency code over all
-refinement leaves.  That is exponential in the worst case but exact; the
-graphs handled here (lattice patches, small tori, iterated clique graphs)
-refine almost to discrete partitions, so the tree stays tiny.
+The canonical form comes from individualisation-refinement search.  A
+partition of the vertices is an ordered list of cells; a vertex's colour is
+the index where its cell starts.  Refinement is splitter-queue colour
+refinement (Cardon and Crochemore, 1982): a queued cell is a splitter, every
+cell is split by its members' neighbour counts in that splitter, the
+fragments are placed in count order, and all fragments but the first largest
+are queued (all of them when the split cell was itself queued).  The result
+is the coarsest equitable partition finer than the input.  The root starts
+from one cell; a child starts from its parent's equitable partition with one
+vertex of the first non-singleton cell individualised, and only that
+singleton as splitter.
+
+Each refinement records a trace: the start, neighbour counts and fragment
+sizes of every split, in the order made.  The canonical leaf is the least
+(trace sequence, adjacency code) over all discrete leaves, so a child whose
+trace exceeds the best leaf's trace at its depth is abandoned mid-refinement
+(McKay and Piperno, *Practical graph isomorphism II*, 2014), and automorphisms
+found from equal codes prune sibling branches in one orbit.  The search is
+exponential in the worst case but exact; the graphs handled here (lattice
+patches, small tori, iterated clique graphs) keep the tree small.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter, deque
+from itertools import chain
 from typing import Iterator
 
 from .graph import Graph
@@ -25,45 +42,130 @@ class BudgetError(RuntimeError):
 BudgetExceededError = BudgetError
 
 
-def _refine(adj: list[list[int]], colors: list[int]) -> list[int]:
-    """Colour refinement to a stable (equitable) partition."""
-    n = len(adj)
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-            for v in range(n)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranking[sig[v]] for v in range(n)]
-        if new == colors:
-            return new
-        colors = new
+class _Partition:
+    """An ordered partition of the vertices 0..n-1.
+
+    ``order`` lists the vertices cell by cell, ``cell[v]`` is the index in
+    ``order`` where v's cell starts (v's colour) and ``size[s]`` is the size
+    of the cell starting at s.
+    """
+
+    __slots__ = ("order", "cell", "size")
+
+    def __init__(self, order: list[int], cell: list[int], size: list[int]):
+        self.order = order
+        self.cell = cell
+        self.size = size
+
+    @classmethod
+    def unit(cls, n: int) -> _Partition:
+        size = [0] * n
+        size[0] = n
+        return cls(list(range(n)), [0] * n, size)
+
+    def individualised(self, v: int) -> _Partition:
+        """A copy with v, which must not be a singleton, split off at the
+        front of its cell."""
+        s = self.cell[v]
+        k = self.size[s]
+        order, cell, size = self.order[:], self.cell[:], self.size[:]
+        i = order.index(v, s)
+        order[i] = order[s]
+        order[s] = v
+        for u in order[s + 1 : s + k]:
+            cell[u] = s + 1
+        size[s] = 1
+        size[s + 1] = k - 1
+        return _Partition(order, cell, size)
+
+    def first_nonsingleton(self) -> int | None:
+        size = self.size
+        s = 0
+        while s < len(size):
+            if size[s] > 1:
+                return s
+            s += size[s]
+        return None
+
+    def refine(
+        self, adj: list[list[int]], splitters: list[int], bound: list[tuple] | None = None
+    ) -> list[tuple] | None:
+        """Refine in place to the coarsest equitable partition finer than
+        this one, and return the refinement trace.
+
+        ``splitters`` are the starts of the queued cells; the partition must
+        be equitable with respect to every other cell.  The trace holds one
+        tuple per split: the cell's start, then (count, fragment size) for
+        each fragment.  When ``bound`` is given, refinement stops and returns
+        None as soon as the trace is known to exceed it.
+        """
+        order, cell, size = self.order, self.cell, self.size
+        trace: list[tuple] = []
+        queue = deque(splitters)
+        queued = set(splitters)
+        while queue:
+            s = queue.popleft()
+            queued.discard(s)
+            if size[s] == 1:
+                counts = dict.fromkeys(adj[order[s]], 1)
+            else:
+                counts = Counter(chain.from_iterable(adj[w] for w in order[s : s + size[s]]))
+            hit: dict[int, list[int]] = {}
+            for u in counts:
+                c = cell[u]
+                if size[c] > 1:
+                    hit.setdefault(c, []).append(u)
+            for c in sorted(hit):
+                touched = hit[c]
+                k = size[c]
+                groups: dict[int, list[int]] = {}
+                for u in touched:
+                    groups.setdefault(counts[u], []).append(u)
+                if len(touched) < k:
+                    groups[0] = [u for u in order[c : c + k] if u not in counts]
+                if len(groups) == 1:
+                    continue
+                event = [c]
+                starts = []
+                f = c
+                for key in sorted(groups):
+                    frag = groups[key]
+                    m = len(frag)
+                    order[f : f + m] = frag
+                    size[f] = m
+                    if f != c:
+                        for u in frag:
+                            cell[u] = f
+                    event += (key, m)
+                    starts.append(f)
+                    f += m
+                if c in queued:
+                    fresh = starts[1:]
+                else:
+                    largest = max(starts, key=size.__getitem__)
+                    fresh = [f for f in starts if f != largest]
+                queue.extend(fresh)
+                queued.update(fresh)
+                event = tuple(event)
+                trace.append(event)
+                if bound is not None:
+                    i = len(trace) - 1
+                    if i >= len(bound) or event > bound[i]:
+                        return None
+                    if event < bound[i]:
+                        bound = None
+        return trace
 
 
-def _first_splittable_cell(colors: list[int]) -> list[int] | None:
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    for c in sorted(cells):
-        if len(cells[c]) > 1:
-            return cells[c]
-    return None
-
-
-def _code_from_discrete(adj: list[list[int]], colors: list[int]) -> tuple:
-    order = sorted(range(len(adj)), key=colors.__getitem__)
-    pos = {v: i for i, v in enumerate(order)}
-    edges = sorted(
-        (pos[u], pos[w]) if pos[u] < pos[w] else (pos[w], pos[u])
-        for u in range(len(adj))
-        for w in adj[u]
-        if u < w
-    )
-    return (tuple(edges), order)
+def _code_from_discrete(adj: list[list[int]], order: list[int], cell: list[int]) -> tuple:
+    """The adjacency code of a discrete partition: each position's sorted
+    neighbour positions, position by position."""
+    at = cell.__getitem__
+    return tuple(tuple(sorted(map(at, adj[v]))) for v in order)
 
 
 class _CanonSearch:
-    """Individualisation-refinement search for the least adjacency code.
+    """Individualisation-refinement search for the least (trace, code) leaf.
 
     Automorphisms discovered from equal-code leaves prune sibling branches:
     two members of a target cell in one orbit of the subgroup fixing the
@@ -76,43 +178,38 @@ class _CanonSearch:
         self.adj = adj
         self.budget = budget
         self.spent = 0
+        # the best leaf so far: its code, vertex order and the traces along
+        # its path, one per depth; best is None while no leaf is known to be
+        # a candidate for the least one
         self.best: tuple | None = None
         self.best_order: list[int] | None = None
+        self.best_traces: list[list[tuple]] = []
+        self.path: list[list[tuple]] = []
         # pairs (permutation, inverse permutation)
         self.generators: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def run(self) -> list[int]:
-        n = len(self.adj)
-        self._descend(_refine(self.adj, [0] * n), ())
+        root = _Partition.unit(len(self.adj))
+        self._charge()
+        root.refine(self.adj, [0])
+        self._descend(root, ())
         assert self.best_order is not None
         return self.best_order
 
-    def _descend(self, colors: list[int], fixed: tuple[int, ...]) -> None:
+    def _charge(self) -> None:
         self.spent += len(self.adj) + 1
         if self.spent > self.budget:
             raise BudgetError("canonical labeling budget exceeded")
-        cell = _first_splittable_cell(colors)
-        if cell is None:
-            code, order = _code_from_discrete(self.adj, colors)
-            if self.best is None or code < self.best:
-                self.best = code
-                self.best_order = order
-            elif code == self.best and len(self.generators) < self.MAX_GENERATORS:
-                # equal codes give an automorphism mapping the best leaf onto
-                # this one; record it as a pruning generator
-                perm = [0] * len(order)
-                for i, v in enumerate(self.best_order):
-                    perm[v] = order[i]
-                if any(perm[v] != v for v in range(len(perm))):
-                    inv = [0] * len(perm)
-                    for v, w in enumerate(perm):
-                        inv[w] = v
-                    pair = (tuple(perm), tuple(inv))
-                    if pair not in self.generators:
-                        self.generators.append(pair)
+
+    def _descend(self, part: _Partition, fixed: tuple[int, ...]) -> None:
+        target = part.first_nonsingleton()
+        if target is None:
+            self._leaf(part)
             return
-        base = max(colors) + 1
-        members = cell if not self._cell_interchangeable(cell) else cell[:1]
+        depth = len(fixed)
+        members = part.order[target : target + part.size[target]]
+        if self._cell_interchangeable(members):
+            members = members[:1]
         branched: set[int] = set()
         for v in members:
             # generators found inside earlier siblings prune later ones:
@@ -120,9 +217,39 @@ class _CanonSearch:
             if branched and self._orbit_reaches(v, branched, fixed):
                 continue
             branched.add(v)
-            child = list(colors)
-            child[v] = base
-            self._descend(_refine(self.adj, child), fixed + (v,))
+            self._charge()
+            child = part.individualised(v)
+            bound = self.best_traces[depth] if self.best is not None else None
+            trace = child.refine(self.adj, [target], bound)
+            if trace is None:
+                continue
+            if bound is not None and trace != bound:
+                # a smaller trace: every leaf below beats the best so far
+                self.best = None
+            del self.path[depth:]
+            self.path.append(trace)
+            self._descend(child, fixed + (v,))
+
+    def _leaf(self, part: _Partition) -> None:
+        order = part.order
+        code = _code_from_discrete(self.adj, order, part.cell)
+        if self.best is None or code < self.best:
+            self.best = code
+            self.best_order = order
+            self.best_traces = list(self.path)
+        elif code == self.best and len(self.generators) < self.MAX_GENERATORS:
+            # equal codes give an automorphism mapping the best leaf onto
+            # this one; record it as a pruning generator
+            perm = [0] * len(order)
+            for i, v in enumerate(self.best_order):
+                perm[v] = order[i]
+            if any(perm[v] != v for v in range(len(perm))):
+                inv = [0] * len(perm)
+                for v, w in enumerate(perm):
+                    inv[w] = v
+                pair = (tuple(perm), tuple(inv))
+                if pair not in self.generators:
+                    self.generators.append(pair)
 
     def _cell_interchangeable(self, cell: list[int]) -> bool:
         """True when the cell's members are pairwise swappable by evident

@@ -278,17 +278,27 @@ SUITES = {
 
 
 def run_suites(names, **overrides) -> list[SuiteResult]:
+    """Run the named suites (``["all"]`` for every suite), passing each the
+    parameters it takes; a parameter that no chosen suite takes is an input
+    error, not silently dropped."""
     chosen = list(SUITES) if names == ["all"] else names
     for name in chosen:
         if name not in SUITES:
             raise GraphError(f"unknown suite {name!r}")
-    if overrides.get("m") is not None:
-        overrides.setdefault("m_lo", overrides["m"])
-        overrides.setdefault("m_hi", overrides["m"])
-    overrides.pop("m", None)
-    results = []
+    given = {k: v for k, v in overrides.items() if v is not None}
+    if "m" in given:
+        m = given.pop("m")
+        given.setdefault("m_lo", m)
+        given.setdefault("m_hi", m)
+    params = {}
     for name in chosen:
-        fn = SUITES[name]
-        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        results.append(fn(**{k: v for k, v in overrides.items() if v is not None and k in params}))
-    return results
+        code = SUITES[name].__code__
+        params[name] = code.co_varnames[: code.co_argcount]
+    for key in given:
+        if not any(key in p for p in params.values()):
+            option = {"m_lo": "m", "m_hi": "m", "n_max": "n"}.get(key, key)
+            raise GraphError(f"--{option} is not a parameter of {', '.join(chosen)}")
+    return [
+        SUITES[name](**{k: v for k, v in given.items() if k in params[name]})
+        for name in chosen
+    ]

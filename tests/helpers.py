@@ -25,6 +25,23 @@ def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
     return False
 
 
+def reference_refine(adj: list[list[int]], colors: list[int]) -> list[int]:
+    """Round-based colour refinement to a stable (equitable) partition: every
+    round re-sorts each vertex's neighbour colours.  The reference for the
+    splitter-queue refinement of the labeling layer."""
+    n = len(adj)
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
+            for v in range(n)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranking[sig[v]] for v in range(n)]
+        if new == colors:
+            return new
+        colors = new
+
+
 def genus2_surface() -> Graph:
     """Genus-2, minimum degree 6, not 6-regular: cut two vertex stars out of
     a 10x10 torus and bridge the rims with an antiprism band.

@@ -212,6 +212,14 @@ def test_geometric_verify_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
+def test_geometric_verify_names_a_host_too_small_to_check(tmp_path, capsys):
+    disc = tmp_path / "disc.json"
+    disc.write_text('{"vertices":[0,1,2,3],"edges":[[0,1],[1,2],[2,3],[3,0],[0,2]]}')
+    code, out, err = run(capsys, "geometric", "verify", str(disc), "--n", "1")
+    assert (code, out) == (2, "")
+    assert "host too small: no level-2 vertex lies at least 4 from the boundary" in err
+
+
 def test_geometric_build_cli(tmp_path, capsys):
     patch = tmp_path / "p.json"
     run(capsys, "generate", "hex-patch", "4", "--out", str(patch))
@@ -253,6 +261,10 @@ def test_cover_validate_detects_folding(tmp_path, capsys):
         (lambda obj: obj.pop("projection"), "has no 'projection' object"),
         (lambda obj: obj["projection"].update({"a": 0}), "projection keys must be vertex ids"),
         (lambda obj: obj["projection"].update({"0": [0]}), "projection values must be vertex ids"),
+        (
+            lambda obj: obj["projection"].update({"9999": 0}),
+            "projection key 9999 is not a vertex of the source graph",
+        ),
         (lambda obj: "{broken", "is not JSON"),  # replaces the whole file
     ],
 )
@@ -348,6 +360,8 @@ def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
             "chart-extension needs radius at least 7, got 0",
         ),
         (["iterate", "TORUS", "--steps", "-1"], "number of steps must be non-negative, got -1"),
+        (["verify-lemmas", "chart-extension", "--count", "0"], "--count is not a parameter of chart-extension"),
+        (["verify-lemmas", "lhg", "inclusion", "--n", "1"], "--n is not a parameter of lhg, inclusion"),
     ],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, message):

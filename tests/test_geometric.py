@@ -216,10 +216,10 @@ def test_verify_equivalence_on_triangular_patch():
     assert report.deep_cliques >= 1
 
 
-def test_verify_equivalence_reports_empty_margin():
-    report = verify_geometric_equivalence(gen_delta(14).graph, 2)
-    assert not report.ok
-    assert any("margin" in f for f in report.failures)
+def test_verify_equivalence_rejects_an_empty_margin():
+    # nothing lies 5 deep in a side-14 triangle: an input error, not a failure
+    with pytest.raises(GeoError, match="no level-3 vertex lies at least 5 from the boundary"):
+        verify_geometric_equivalence(gen_delta(14).graph, 2)
 
 
 def test_level_graph_matches_iterated_cliques_below_wrap_threshold():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from cliquedyn import lemmas
 from cliquedyn.graph import GraphError
 from cliquedyn.lemmas import (
     SUITES,
@@ -56,6 +57,27 @@ def test_discharge_suite_seeded():
 def test_run_suites_rejects_unknown():
     with pytest.raises(GraphError, match="unknown suite 'bogus'"):
         run_suites(["bogus"])
+
+
+def test_run_suites_rejects_an_option_no_chosen_suite_takes(monkeypatch):
+    calls = []
+
+    def walks(m_lo=1, m_hi=2):
+        calls.append(("walks", m_lo, m_hi))
+
+    def sample(radius=3, count=4):
+        calls.append(("sample", radius, count))
+
+    monkeypatch.setattr(lemmas, "SUITES", {"walks": walks, "sample": sample})
+    with pytest.raises(GraphError, match="^--count is not a parameter of walks$"):
+        run_suites(["walks"], count=0)
+    with pytest.raises(GraphError, match="^--m is not a parameter of sample$"):
+        run_suites(["sample"], m=5)
+    assert calls == []
+    # each suite gets the options it takes; "all" accepts every option
+    run_suites(["walks", "sample"], count=0, m=5, radius=None)
+    run_suites(["all"], radius=9)
+    assert calls == [("walks", 5, 5), ("sample", 3, 0), ("walks", 1, 2), ("sample", 9, 4)]
 
 
 def test_suite_registry_is_complete():
