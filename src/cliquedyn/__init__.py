@@ -24,7 +24,6 @@ from .geometric import (
     GeoBuilder,
     GeoError,
     GeoGraph,
-    build_geo,
     c_map,
     clique_from_triangle,
     clique_from_vertex,
@@ -37,7 +36,6 @@ from .graph import (
     UnknownVertexError,
     closed_neighbourhood,
     common_neighbourhood,
-    graph_minus,
     induced_subgraph,
 )
 from .hexgrid import (
@@ -48,7 +46,6 @@ from .hexgrid import (
     gen_hex_patch,
     gen_nabla,
     lhg_cliques_through_origin,
-    triangle_inclusion,
 )
 from .isomorphism import (
     BudgetError,

@@ -113,15 +113,20 @@ def cmd_cliquegraph(args) -> int:
 
 
 def _vertex_budget(args) -> int:
-    env = os.environ.get("CLIQUE_BUDGET_VERTICES")
-    if args.budget_vertices is not None:
-        return args.budget_vertices
-    if env:
+    """The ``--budget-vertices`` flag, else ``CLIQUE_BUDGET_VERTICES``, else
+    the default; a negative budget is an input error naming its source."""
+    name, budget = "--budget-vertices", args.budget_vertices
+    if budget is None:
+        name, env = "CLIQUE_BUDGET_VERTICES", os.environ.get("CLIQUE_BUDGET_VERTICES")
+        if not env:
+            return DEFAULT_VERTEX_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
-            raise GraphError(f"CLIQUE_BUDGET_VERTICES must be an integer, got {env!r}") from None
-    return DEFAULT_VERTEX_BUDGET
+            raise GraphError(f"{name} must be an integer, got {env!r}") from None
+    if budget < 0:
+        raise GraphError(f"{name} must be non-negative, got {budget}")
+    return budget
 
 
 def cmd_iterate(args) -> int:

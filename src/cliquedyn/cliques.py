@@ -139,6 +139,8 @@ def iterate_k(
     """
     if max_steps < 0:
         raise GraphError(f"number of steps must be non-negative, got {max_steps}")
+    if vertex_budget < 0:
+        raise GraphError(f"vertex budget must be non-negative, got {vertex_budget}")
     steps: list[TraceStep] = []
     graphs: list[Graph] = [g]
     seen: dict[str, list[int]] = {}

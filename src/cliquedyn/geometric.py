@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .charts import Chart, charts_by_image, find_standard_charts
+from .charts import Chart, charts_by_image, find_standard_charts, min_boundary_distance
 from .cliques import intersection_edges, max_cliques
 from .graph import Graph, GraphError, closed_neighbourhood, common_neighbourhood
 from .hexgrid import BASIS, classify_triangle_coords
-from .surface import SurfaceReport, boundary_distance, facets, validate_surface
+from .surface import SurfaceReport, facets, validate_surface
 
 
 class GeoError(GraphError):
@@ -34,43 +34,35 @@ class GeoMarginError(GeoError):
     pass
 
 
-@dataclass(frozen=True)
-class GeoVertex:
-    level: int
-    support: frozenset[int]
-
-    def key(self) -> tuple:
-        return (self.level, tuple(sorted(self.support)))
-
-
 class GeoGraph:
     """Immutable level graph over a fixed host: ``graph`` on the ids
-    0..len-1, with the level, support and chart of every vertex."""
+    0..len-1, with the chart of every vertex.  A vertex's level is
+    ``chart.m`` and its support ``chart.image``; a host vertex is its
+    side-0 chart."""
 
-    def __init__(self, host, n, margin, verts, charts, graph, membership, bdist):
+    def __init__(self, host, n, margin, charts, graph, membership):
         self.host: Graph = host
         self.n: int = n
         self.margin: int = margin
-        self.verts: list[GeoVertex] = verts
-        self.charts: list[Chart | None] = charts
+        self.charts: list[Chart] = charts
         self.graph: Graph = graph
         self.membership: dict[int, list[int]] = membership  # host vertex -> ids
-        self.bdist: dict[int, float] = bdist
         self.support_index: dict[frozenset[int], int] = {
-            v.support: i for i, v in enumerate(verts)
+            ch.image: i for i, ch in enumerate(charts)
         }
-        self.by_level: dict[int, list[int]] = {}
-        for i, v in enumerate(verts):
-            self.by_level.setdefault(v.level, []).append(i)
 
     def __len__(self) -> int:
-        return len(self.verts)
+        return len(self.charts)
 
     def gid(self, support) -> int:
         try:
             return self.support_index[frozenset(support)]
         except KeyError:
             raise GeoError(f"no vertex with support {sorted(support)}") from None
+
+    def label(self, i: int) -> tuple[int, list[int]]:
+        """Vertex ``i`` as (level, sorted support), for messages."""
+        return (self.charts[i].m, sorted(self.charts[i].image))
 
     def edge_count(self) -> int:
         return self.graph.edge_count
@@ -80,7 +72,7 @@ class GeoGraph:
             "n": self.n,
             "margin": self.margin,
             "vertices": [
-                {"level": v.level, "support": sorted(v.support)} for v in self.verts
+                {"level": ch.m, "support": sorted(ch.image)} for ch in self.charts
             ],
             "edges": [list(e) for e in self.graph.edges()],
         }
@@ -97,40 +89,30 @@ class GeoBuilder:
             raise GeoError(
                 f"host vertex {self.report.invalid_vertices[0]} has no cyclic or path neighbourhood"
             )
-        self.bdist = boundary_distance(host)
 
     def images(self, m: int) -> dict[frozenset[int], Chart]:
         """The side-m images, each with its first chart."""
         groups = charts_by_image(find_standard_charts(self.host, m))
         return {image: charts[0] for image, charts in groups.items()}
 
-    def support_margin(self, support) -> float:
-        return min(self.bdist[v] for v in support)
-
     def build(self, n: int, margin: int = 0) -> GeoGraph:
         if n < 0 or margin < 0:
             raise GeoError("n and margin must be non-negative")
-        levels = list(range(n % 2, n + 1, 2))
-        verts: list[GeoVertex] = []
-        charts: list[Chart | None] = []
-        for m in levels:
-            if m == 0:
-                for v in self.host.vertices:
-                    if self.bdist[v] >= margin:
-                        verts.append(GeoVertex(0, frozenset((v,))))
-                        charts.append(None)
-            else:
-                for image, chart in sorted(self.images(m).items(), key=lambda kv: sorted(kv[0])):
-                    if self.support_margin(image) >= margin:
-                        verts.append(GeoVertex(m, image))
-                        charts.append(chart)
-        order = sorted(range(len(verts)), key=lambda i: verts[i].key())
-        verts = [verts[i] for i in order]
-        charts = [charts[i] for i in order]
+        charts = sorted(
+            (
+                chart
+                for m in range(n % 2, n + 1, 2)
+                for image, chart in self.images(m).items()
+                if min_boundary_distance(self.host, image) >= margin
+            ),
+            key=lambda ch: (ch.m, sorted(ch.image)),
+        )
+        # the inner loop reads supports from a plain list, not the property
+        supports = [ch.image for ch in charts]
 
         membership: dict[int, list[int]] = {}
-        for i, gv in enumerate(verts):
-            for v in gv.support:
+        for i, support in enumerate(supports):
+            for v in support:
                 membership.setdefault(v, []).append(i)
 
         # edges in the order the rules find them, which fixes the edge order
@@ -145,32 +127,29 @@ class GeoBuilder:
         def support_boundary_hood(i: int) -> frozenset[int]:
             return closed_neighbourhood(self.host, support_boundary(i))
 
-        for i, gv in enumerate(verts):
-            hood = closed_neighbourhood(self.host, gv.support)
+        for i, support in enumerate(supports):
+            level = charts[i].m
+            hood = closed_neighbourhood(self.host, support)
             candidates: set[int] = set()
             for v in hood:
                 candidates.update(membership.get(v, ()))
             candidates.discard(i)
             for j in sorted(candidates):
-                other = verts[j]
-                if other.level == gv.level:
+                other, other_level = supports[j], charts[j].m
+                if other_level == level:
                     # same size: containment of one in the other's neighbourhood
-                    if other.support <= hood:
+                    if other <= hood:
                         edges.append((i, j))
-                elif other.level < gv.level and other.support <= gv.support:
-                    gap = gv.level - other.level
+                elif other_level < level and other <= support:
+                    gap = level - other_level
                     if (
                         gap == 2
-                        or (gap == 4 and not other.support & support_boundary(i))
-                        or (gap == 6 and not other.support & support_boundary_hood(i))
+                        or (gap == 4 and not other & support_boundary(i))
+                        or (gap == 6 and not other & support_boundary_hood(i))
                     ):
                         edges.append((i, j))
-        graph = Graph(range(len(verts)), edges, name=f"levels<=({n})")
-        return GeoGraph(self.host, n, margin, verts, charts, graph, membership, self.bdist)
-
-
-def build_geo(host: Graph, n: int, interior_margin: int = 0) -> GeoGraph:
-    return GeoBuilder(host).build(n, interior_margin)
+        graph = Graph(range(len(charts)), edges, name=f"levels<=({n})")
+        return GeoGraph(self.host, n, margin, charts, graph, membership)
 
 
 # -- clique constructions ----------------------------------------------------
@@ -186,7 +165,7 @@ def _clique_around(gg: GeoGraph, gids, context: str) -> frozenset[int]:
         for w in ms[a + 1 :]:
             if not gg.graph.has_edge(u, w):
                 raise GeoError(
-                    f"{context}: members {gg.verts[u]} and {gg.verts[w]} are not adjacent"
+                    f"{context}: members {gg.label(u)} and {gg.label(w)} are not adjacent"
                 )
     return members
 
@@ -208,7 +187,7 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> frozenset[int]:
     cls = validate_surface(gg.host).classes.get(v)
     if cls is None or not cls.is_inner:
         raise GeoError(f"vertex {v} is not an inner vertex")
-    fan = [i for i in gg.membership.get(v, ()) if gg.verts[i].level == 1]
+    fan = [i for i in gg.membership.get(v, ()) if gg.charts[i].m == 1]
     if len(fan) != gg.host.degree(v):
         raise GeoMarginError(
             f"umbrella of vertex {v} is not fully inside the margin"
@@ -216,25 +195,25 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> frozenset[int]:
     return _clique_around(gg, fan, "vertex clique")
 
 
-def clique_summary(gg: GeoGraph, source) -> frozenset[int]:
+def clique_summary(gg: GeoGraph, chart: Chart) -> frozenset[int]:
     """Closed-form member list of the clique attached to a next-level vertex.
 
-    ``source`` is a host vertex id for level 0, otherwise a chart of the
-    next-level triangle.  The result is compared against the constructive
+    ``chart`` is the chart of the next-level vertex; a side-0 chart stands
+    for its host vertex.  The result is compared against the constructive
     common-neighbourhood computation.
     """
-    if isinstance(source, Chart):
-        members = _summary_from_chart(gg, source)
-        built = clique_from_triangle(gg, source)
-    else:
-        v = int(source)
+    if chart.m == 0:
+        v = chart[(0, 0, 0)]
         members = frozenset(
             i
             for i in gg.membership.get(v, ())
-            if gg.verts[i].level == 1
-            or (gg.verts[i].level == 3 and gg.charts[i][(1, 1, 1)] == v)
+            if gg.charts[i].m == 1
+            or (gg.charts[i].m == 3 and gg.charts[i][(1, 1, 1)] == v)
         )
         built = clique_from_vertex(gg, v)
+    else:
+        members = _summary_from_chart(gg, chart)
+        built = clique_from_triangle(gg, chart)
     if built != members:
         raise GeoError("summary and construction disagree")
     return members
@@ -272,14 +251,11 @@ def _summary_from_chart(gg: GeoGraph, chart: Chart) -> frozenset[int]:
 
 
 def _supersets(gg: GeoGraph, support: frozenset[int], level: int) -> list[int]:
-    if level not in gg.by_level:
-        return []
-    v0 = min(support)
-    out = []
-    for i in gg.membership.get(v0, ()):
-        if gg.verts[i].level == level and support <= gg.verts[i].support:
-            out.append(i)
-    return out
+    return [
+        i
+        for i in gg.membership.get(min(support), ())
+        if gg.charts[i].m == level and support <= gg.charts[i].image
+    ]
 
 
 def _preimage_shape(gg: GeoGraph, i: int, support: frozenset[int]) -> str | None:
@@ -322,25 +298,24 @@ def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     mapping: dict[int, frozenset[int]] = {}
     seen: dict[frozenset[int], int] = {}
     collisions: list[tuple[int, int]] = []
-    for i, gv in enumerate(gg_next.verts):
-        if gv.level == 0:
-            clique = clique_summary(gg_n, next(iter(gv.support)))
-        else:
-            clique = clique_summary(gg_n, gg_next.charts[i])
+    for i, chart in enumerate(gg_next.charts):
+        clique = clique_summary(gg_n, chart)
         mapping[i] = clique
         if clique in seen:
             collisions.append((seen[clique], i))
         else:
             seen[clique] = i
 
-    bdist = gg_n.bdist
     margin = gg_next.margin
+    deep_ids = {
+        i
+        for i, ch in enumerate(gg_n.charts)
+        if min_boundary_distance(gg_n.host, ch.image) >= margin
+    }
     deep = 0
     missing = []
     for clique in max_cliques(gg_n.graph):
-        if all(
-            min(bdist[v] for v in gg_n.verts[i].support) >= margin for i in clique
-        ):
+        if clique <= deep_ids:
             deep += 1
             if clique not in seen:
                 missing.append(clique)
@@ -403,7 +378,7 @@ def verify_geometric_equivalence(
     if cmr.missing_cliques:
         failures.append(
             f"{len(cmr.missing_cliques)} deep cliques not hit, first: "
-            f"{[gg_n.verts[i] for i in sorted(cmr.missing_cliques[0])][:4]}"
+            f"{[gg_n.label(i) for i in sorted(cmr.missing_cliques[0])][:4]}"
         )
 
     # adjacency in the next level graph must match clique intersection

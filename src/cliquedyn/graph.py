@@ -180,19 +180,3 @@ def common_neighbourhood(g: Graph, s: Iterable[int]) -> frozenset[int]:
         acc &= g.neighbors(v)
     return frozenset(acc | ss)
 
-
-def graph_minus(g: Graph, h: Graph) -> Graph:
-    """Remove ``h`` from ``g``: drop h's vertices, h's edges, and every
-    g-edge touching a vertex of h."""
-    hv = h.vertex_set
-    h_edges = set(h.edges())
-    verts = [v for v in g.vertices if v not in hv]
-    edges = [
-        (u, v)
-        for (u, v) in g.edges()
-        if (u, v) not in h_edges and u not in hv and v not in hv
-    ]
-    labels = None
-    if g.labels:
-        labels = {v: g.labels[v] for v in verts if v in g.labels}
-    return Graph(verts, edges, name=g.name, labels=labels)

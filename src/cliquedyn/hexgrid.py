@@ -185,24 +185,6 @@ def gen_nabla(kind: str, e: Coord | None = None) -> HexRegion:
     return HexRegion(coords, name=name, corners=corners)
 
 
-class TriangleInclusion:
-    """Coordinate translation embedding a side-m triangle into a larger grid."""
-
-    def __init__(self, m: int, offset: Coord):
-        self.m = m
-        self.offset = offset
-
-    def __call__(self, c: Coord) -> Coord:
-        return add(c, self.offset)
-
-    def image_coords(self) -> list[Coord]:
-        return [add(c, self.offset) for c in delta_coords(self.m)]
-
-
-def triangle_inclusion(m: int, t: Coord) -> TriangleInclusion:
-    return TriangleInclusion(m, t)
-
-
 # -- classification oracle ---------------------------------------------------
 
 

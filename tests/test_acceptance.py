@@ -17,7 +17,7 @@ from cliquedyn.charts import (
 from cliquedyn.cliques import iterate_k
 from cliquedyn.covers import decide_finite, universal_cover_ball, validate_covering_map
 from cliquedyn.generators import hex_torus, icosahedron, octahedron
-from cliquedyn.geometric import build_geo, verify_geometric_equivalence
+from cliquedyn.geometric import GeoBuilder, verify_geometric_equivalence
 from cliquedyn.graph import Graph, induced_subgraph
 from cliquedyn.hexgrid import (
     BASIS,
@@ -133,11 +133,11 @@ def test_criterion_5_neighbour_count_tightness():
 def test_criterion_6_level_profile_of_the_side4_patch():
     with Timer(1.0) as t:
         d4 = gen_delta(4)
-        gg = build_geo(d4.graph, 4)
+        gg = GeoBuilder(d4.graph).build(4)
         top = gg.gid(d4.graph.vertex_set)
         by_level: dict[int, int] = {}
         for j in gg.graph.neighbors(top):
-            by_level[gg.verts[j].level] = by_level.get(gg.verts[j].level, 0) + 1
+            by_level[gg.charts[j].m] = by_level.get(gg.charts[j].m, 0) + 1
         assert by_level == {0: 3, 2: 7}
     report(6, "side-4 patch sees 3 level-0 and 7 level-2 neighbours", t)
 

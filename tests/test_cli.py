@@ -203,6 +203,9 @@ def test_iterate_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CLIQUE_BUDGET_VERTICES", "abc")
     code, _, err = run(capsys, "iterate", str(torus), "--steps", "4")
     assert code == 2 and "CLIQUE_BUDGET_VERTICES must be an integer, got 'abc'" in err
+    monkeypatch.setenv("CLIQUE_BUDGET_VERTICES", "-3")
+    code, out, err = run(capsys, "iterate", str(torus), "--steps", "4")
+    assert (code, out, err) == (2, "", "error: CLIQUE_BUDGET_VERTICES must be non-negative, got -3\n")
 
 
 def test_geometric_verify_cli(tmp_path, capsys):
@@ -362,6 +365,10 @@ def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
         (["iterate", "TORUS", "--steps", "-1"], "number of steps must be non-negative, got -1"),
         (["verify-lemmas", "chart-extension", "--count", "0"], "--count is not a parameter of chart-extension"),
         (["verify-lemmas", "lhg", "inclusion", "--n", "1"], "--n is not a parameter of lhg, inclusion"),
+        (
+            ["iterate", "TORUS", "--budget-vertices", "-1"],
+            "--budget-vertices must be non-negative, got -1",
+        ),
     ],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, message):

@@ -9,7 +9,7 @@ from cliquedyn.cliques import (
     iterate_k,
     max_cliques,
 )
-from cliquedyn.graph import Graph
+from cliquedyn.graph import Graph, GraphError
 from cliquedyn.hexgrid import gen_hex_patch
 from cliquedyn.isomorphism import is_isomorphic
 from helpers import complete_graph, cycle_graph
@@ -127,6 +127,13 @@ def test_iterate_respects_vertex_budget(octa):
     assert trace.verdict == "budget_exceeded"
     assert trace.detail
     assert all(s.vertices <= 10 for s in trace.steps)
+
+
+def test_iterate_rejects_negative_steps_and_budgets(octa):
+    with pytest.raises(GraphError, match="number of steps must be non-negative, got -1"):
+        iterate_k(octa, -1)
+    with pytest.raises(GraphError, match="vertex budget must be non-negative, got -1"):
+        iterate_k(octa, 2, vertex_budget=-1)
 
 
 def test_empty_graph_is_a_fixed_point():

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
+import json
+import re
+
 import pytest
 
 from cliquedyn import geometric
-from cliquedyn.charts import chart_of_support, charts_by_image, find_standard_charts
+from cliquedyn.charts import chart_of_support, min_boundary_distance
 from cliquedyn.covers import universal_cover_ball
+from cliquedyn.generators import hex_torus
 from cliquedyn.geometric import (
     GeoBuilder,
     GeoError,
     GeoMarginError,
-    build_geo,
     c_map,
     clique_from_triangle,
     clique_from_vertex,
@@ -24,6 +28,7 @@ from cliquedyn.hexgrid import (
     gen_hex_patch,
     sub,
 )
+from cliquedyn.surface import boundary_distance
 from helpers import degree_seven_surface, genus2_surface
 
 
@@ -34,57 +39,57 @@ def patch9_builder():
 
 def test_level_zero_graph_matches_host_interior():
     patch = gen_hex_patch(5)
-    gg = build_geo(patch.graph, 0, interior_margin=1)
+    gg = GeoBuilder(patch.graph).build(0, 1)
     interior = patch.interior_ids()
-    assert {next(iter(v.support)) for v in gg.verts} == set(interior)
-    for i, gv in enumerate(gg.verts):
-        (v,) = gv.support
+    assert {ch[(0, 0, 0)] for ch in gg.charts} == set(interior)
+    for i, ch in enumerate(gg.charts):
+        (v,) = ch.image
         expected = {w for w in patch.graph.neighbors(v) if w in interior}
-        got = {next(iter(gg.verts[j].support)) for j in gg.graph.neighbors(i)}
+        got = {gg.charts[j][(0, 0, 0)] for j in gg.graph.neighbors(i)}
         assert got == expected
 
 
 def test_delta4_region_adjacency_profile():
     d4 = gen_delta(4)
-    gg = build_geo(d4.graph, 4)
+    gg = GeoBuilder(d4.graph).build(4)
     top = gg.gid(d4.graph.vertex_set)
     by_level = {}
     for j in gg.graph.neighbors(top):
-        by_level[gg.verts[j].level] = by_level.get(gg.verts[j].level, 0) + 1
+        by_level[gg.charts[j].m] = by_level.get(gg.charts[j].m, 0) + 1
     assert by_level == {0: 3, 2: 7}
 
 
 def test_octahedron_has_no_level_two_vertices(octa):
-    gg = build_geo(octa, 2)
-    assert sorted(set(v.level for v in gg.verts)) == [0]
-    assert len(gg.verts) == 6
+    gg = GeoBuilder(octa).build(2)
+    assert sorted(set(ch.m for ch in gg.charts)) == [0]
+    assert len(gg.charts) == 6
 
 
 def test_icosahedron_does_have_level_two_vertices(icosa):
     # one induced side-2 triangle per face
-    gg = build_geo(icosa, 2)
-    assert len(gg.by_level.get(2, [])) == 20
+    gg = GeoBuilder(icosa).build(2)
+    assert sum(1 for ch in gg.charts if ch.m == 2) == 20
 
 
 def test_vertex_clique_with_six_regular_centre(patch9_builder):
     builder = patch9_builder
     gg3 = builder.build(3, margin=0)
     patch_centre = next(
-        v for v in gg3.host.vertices if builder.bdist[v] >= 6
+        v for v in gg3.host.vertices if boundary_distance(gg3.host)[v] >= 6
     )
     clique = clique_from_vertex(gg3, patch_centre)
-    levels = sorted(gg3.verts[i].level for i in clique)
+    levels = sorted(gg3.charts[i].m for i in clique)
     assert levels == [1, 1, 1, 1, 1, 1, 3, 3]
     gg1 = builder.build(1, margin=0)
     clique1 = clique_from_vertex(gg1, patch_centre)
-    assert sorted(gg1.verts[i].level for i in clique1) == [1] * 6
+    assert sorted(gg1.charts[i].m for i in clique1) == [1] * 6
 
 
 def test_vertex_clique_at_degree_seven_vertex(genus2):
-    gg3 = build_geo(genus2, 3)
+    gg3 = GeoBuilder(genus2).build(3)
     v7 = next(v for v in genus2.vertices if genus2.degree(v) == 7)
     clique = clique_from_vertex(gg3, v7)
-    assert sorted(gg3.verts[i].level for i in clique) == [1] * 7
+    assert sorted(gg3.charts[i].m for i in clique) == [1] * 7
 
 
 def test_triangle_clique_contains_central_intersection(patch9_builder):
@@ -94,7 +99,7 @@ def test_triangle_clique_contains_central_intersection(patch9_builder):
         (
             img
             for img in builder.images(5)
-            if builder.support_margin(img) >= 4
+            if min_boundary_distance(builder.host, img) >= 4
         ),
         key=sorted,
     )[0]
@@ -113,7 +118,7 @@ def test_summary_matches_construction_across_levels(patch9_builder):
             (
                 img
                 for img in builder.images(level)
-                if builder.support_margin(img) >= n + 3
+                if min_boundary_distance(builder.host, img) >= n + 3
             ),
             key=sorted,
         )[0]
@@ -126,7 +131,7 @@ def test_summary_level_two_contains_inverted_centre(patch9_builder):
     builder = patch9_builder
     gg1 = builder.build(1, margin=0)
     support = sorted(
-        (img for img in builder.images(2) if builder.support_margin(img) >= 5),
+        (img for img in builder.images(2) if min_boundary_distance(builder.host, img) >= 5),
         key=sorted,
     )[0]
     chart = builder.images(2)[support]
@@ -139,12 +144,12 @@ def test_summary_level_one_contains_inverted_parent(patch9_builder):
     builder = patch9_builder
     gg2 = builder.build(2, margin=0)
     support = sorted(
-        (img for img in builder.images(1) if builder.support_margin(img) >= 5),
+        (img for img in builder.images(1) if min_boundary_distance(builder.host, img) >= 5),
         key=sorted,
     )[0]
     chart = builder.images(1)[support]
     members = clique_summary(gg2, chart)
-    parents2 = [i for i in members if gg2.verts[i].level == 2]
+    parents2 = [i for i in members if gg2.charts[i].m == 2]
     # three upright parents plus the inverted one around the facet
     assert len(parents2) == 4
 
@@ -155,14 +160,16 @@ def test_same_level_adjacency_is_symmetric_in_the_deep_interior(patch9_builder):
     builder = patch9_builder
     gg = builder.build(3, margin=4)
     host = gg.host
-    for i in gg.by_level[3]:
-        hood_i = closed_neighbourhood(host, gg.verts[i].support)
+    level3 = [i for i, ch in enumerate(gg.charts) if ch.m == 3]
+    assert level3
+    for i in level3:
+        hood_i = closed_neighbourhood(host, gg.charts[i].image)
         for j in gg.graph.neighbors(i):
-            if gg.verts[j].level != 3:
+            if gg.charts[j].m != 3:
                 continue
-            hood_j = closed_neighbourhood(host, gg.verts[j].support)
-            assert (gg.verts[j].support <= hood_i) and (
-                gg.verts[i].support <= hood_j
+            hood_j = closed_neighbourhood(host, gg.charts[j].image)
+            assert (gg.charts[j].image <= hood_i) and (
+                gg.charts[i].image <= hood_j
             )
 
 
@@ -170,7 +177,7 @@ def test_offset_rule_matches_containment_adjacency():
     """Inside one chart, adjacency by the set rules coincides with the
     offset-difference rule for every pair of translated sub-triangles."""
     patch = gen_hex_patch(7)
-    gg = build_geo(patch.graph, 3, interior_margin=0)
+    gg = GeoBuilder(patch.graph).build(3, 0)
     base = chart_of_support(
         patch.graph, patch.ids(add(c, (-2, -2, -2)) for c in delta_coords(6))
     )
@@ -234,7 +241,7 @@ def test_level_graph_matches_iterated_cliques_below_wrap_threshold():
         torus = hex_torus(p, q)
         trace = iterate_k(torus, n_good)
         for n in range(1, n_good + 1):
-            level = build_geo(torus, n).graph
+            level = GeoBuilder(torus).build(n).graph
             assert find_isomorphism(level, trace.graphs[n]) is not None
 
 
@@ -246,7 +253,7 @@ def test_level_graph_overcounts_once_neighbourhoods_wrap():
     from cliquedyn.generators import hex_torus
 
     torus = hex_torus(4, 4)
-    level = build_geo(torus, 2).graph
+    level = GeoBuilder(torus).build(2).graph
     k2 = iterate_k(torus, 2).graphs[2]
     assert level.n == k2.n == 48
     assert level.edge_count > k2.edge_count
@@ -263,9 +270,9 @@ def test_verify_equivalence_gates(octa, t44):
 
 def test_vertex_clique_margin_guard():
     patch = gen_hex_patch(4)
-    gg = build_geo(patch.graph, 1, interior_margin=2)
+    gg = GeoBuilder(patch.graph).build(1, 2)
     rim_adjacent = next(
-        v for v in patch.graph.vertices if gg.bdist[v] == 2
+        v for v in patch.graph.vertices if boundary_distance(patch.graph)[v] == 2
     )
     with pytest.raises(GeoMarginError):
         clique_from_vertex(gg, rim_adjacent)
@@ -311,3 +318,78 @@ def test_verify_compares_adjacency_with_clique_intersection(monkeypatch):
     report = verify_geometric_equivalence(gen_hex_patch(8).graph, 0)
     assert not report.ok
     assert any("has disjoint cliques" in f for f in report.failures)
+
+
+def test_failures_name_vertices_by_level_and_support(monkeypatch):
+    # every next-level vertex maps to the empty clique, so no deep clique is hit
+    monkeypatch.setattr(geometric, "clique_summary", lambda gg, chart: frozenset())
+    report = verify_geometric_equivalence(gen_hex_patch(8).graph, 0)
+    assert not report.ok
+    pattern = r"deep cliques not hit, first: \[\(0, \[\d+\]\), \(0, \[\d+\]\), \(0, \[\d+\]\)\]$"
+    assert any(re.search(pattern, f) for f in report.failures), report.failures
+
+
+# sha256 of the sorted-key JSON of the level graphs for n = 0..4, pinning
+# vertex order, edge order and the serialisation byte for byte
+LEVEL_GRAPH_DIGESTS = {
+    ("hex_patch_9", 0): [
+        "56542674a28a14632e515d48f1579d1ff7161fdde2befe7dd779059f26ac95fc",
+        "b002756ebc84a169c1ffbc0a4445218bc74b58f085fb4ead253af0306bf75126",
+        "c0f889edcf379246f0332a71781f40ced751453086dffb6048ba9afc2278eebf",
+        "fae648bbd28f3af956ff9377169210f0cee9f223988547836f44482b483b9dc4",
+        "22925a55d4d188a681b6847f5744a17da593d2c73f25d5be58161781ccf1e2d0",
+    ],
+    ("hex_patch_9", 2): [
+        "d1359487b25eb84e8414c25d24f47425c452988211951c0b249330726541b2f4",
+        "5508a0226df7ca5846379068b08d3fcffe9530216b4c311cf05577cc0c257e2d",
+        "7289c730ad6f4cd3c501649a82be0e6ba314a35fe9b2b955ae3b8be7a75cfc02",
+        "29a23692dfbaa1e53f8ca85799c81ddaea16fc9af809302c92865308c6de4328",
+        "80a618fec55988d3bb494140ed1ce7efe1f438235d591c8d8bd4d6f6f387dca4",
+    ],
+    ("delta_6", 0): [
+        "edd5d54a54d93eb8c93821dd58cd017931e5b5dbf02797ee3d757002e6b42104",
+        "5e4d72f23b0edf460ab6c69bfbee1bc46e88b20c10a9c730f920e84e21bd8252",
+        "0c9f8bf13e8172b274bd9e3a85ae97691aa1b825ad01bd8192e1a5647ded0c4c",
+        "72b671923ac1c0c5b99503477e0a200d5b2651c797fd3b7ffeb89f9367dacbed",
+        "354a0dde92af9af853d2a39feacad2062d6f598ae5c7d9b54afe44cbd352e525",
+    ],
+    ("delta_6", 2): [
+        "751437eb4f161fd3ba6e02d06cb92f792df4aa0d1e5fca6964df54e281089339",
+        "fecff8921af60b8499dfc36ca64be33cf80ca36ec1bda939418c83bb38a417e7",
+        "b3d1f6a40f17a4298aad41e23657f5a71df5680a2176602f81c37806283f0202",
+        "1414d778a040a1b3b4915c8514027dacd34b107153ad170860676deb76d8f5ca",
+        "eedf73e870831cecb0bfc873abb95f6da522872725cf7e92f0cdf867a21a3d15",
+    ],
+    ("torus_5_5", 0): [
+        "b42cc088e0c97d7734d04731e6f5a3dec566cc133dda1cfc4e0d28515549a48a",
+        "cdb602dfe60379d51a63d844102603997ba8f20d603e92567c3dfd3a08b75e9f",
+        "e47db81340557045f6227fa13e0d8ddd5a6fb759ee608cf512138ffb416ea5d7",
+        "38cbb4eeeee307d4e3b2031c9acc0bdec18b37ddcb39456bc66e600893247e1e",
+        "4776a614027b34f217c7c085cd0dbff5c3ff1ba79670c3d0f7b740065760bc70",
+    ],
+    ("torus_5_5", 2): [
+        "bbfe1b6815d3946c0654bd860e4d8f0ae24211f3e359199be58278f6f9cb1ac5",
+        "db14ab7ffa6c88765e0f5a2cfe40488d61b08f9a15572592be043405d02a6c94",
+        "a38858f42c4507b29a94ea38aa43a28354958e944ccb67a0d8c1329f79eb54a8",
+        "1f40d030fae964b8488cbba92099bd278a17709f9cf2260c006d58092241a578",
+        "1a89744b682cd6b5f42e1b47e05c5c04010801162ae6f4bfb9f03c985e0484df",
+    ],
+}
+
+LEVEL_GRAPH_HOSTS = {
+    "hex_patch_9": lambda: gen_hex_patch(9).graph,
+    "delta_6": lambda: gen_delta(6).graph,
+    "torus_5_5": lambda: hex_torus(5, 5),
+}
+
+
+@pytest.mark.parametrize("host, margin", sorted(LEVEL_GRAPH_DIGESTS))
+def test_level_graph_serialisation_is_pinned(host, margin):
+    builder = GeoBuilder(LEVEL_GRAPH_HOSTS[host]())
+    got = [
+        hashlib.sha256(
+            json.dumps(builder.build(n, margin).to_dict(), sort_keys=True).encode()
+        ).hexdigest()
+        for n in range(5)
+    ]
+    assert got == LEVEL_GRAPH_DIGESTS[host, margin]

@@ -9,11 +9,10 @@ from cliquedyn.graph import (
     UnknownVertexError,
     closed_neighbourhood,
     common_neighbourhood,
-    graph_minus,
     induced_subgraph,
 )
 from cliquedyn.hexgrid import gen_delta, gen_hex_patch
-from cliquedyn.surface import facets, validate_surface
+from cliquedyn.surface import boundary_distance, facets
 from helpers import complete_graph, cycle_graph
 
 
@@ -103,26 +102,11 @@ def test_common_neighbourhood_rejects_empty():
         common_neighbourhood(complete_graph(3), [])
 
 
-def test_graph_minus_single_vertex():
-    g = complete_graph(3)
-    h = Graph([0])
-    left = graph_minus(g, h)
-    assert left.vertex_set == frozenset({1, 2})
-    assert list(left.edges()) == [(1, 2)]
-
-
-def test_graph_minus_self_is_empty(octa):
-    left = graph_minus(octa, octa)
-    assert left.n == 0
-
-
 def test_delta3_minus_boundary_is_single_centre_vertex():
     d3 = gen_delta(3)
-    boundary = validate_surface(d3.graph).boundary
-    left = graph_minus(d3.graph, boundary)
-    assert left.n == 1 and left.edge_count == 0
-    (v,) = left.vertices
-    assert d3.coord_of[v] == (1, 1, 1)
+    dist = boundary_distance(d3.graph)
+    interior = [v for v in d3.graph.vertices if dist[v] >= 1]
+    assert [d3.coord_of[v] for v in interior] == [(1, 1, 1)]
 
 
 @given(small_graphs(), st.data())
@@ -130,9 +114,3 @@ def test_common_is_inside_closed_neighbourhood(g, data):
     k = data.draw(st.integers(min_value=1, max_value=g.n))
     s = data.draw(st.permutations(list(g.vertices)))[:k]
     assert common_neighbourhood(g, s) <= closed_neighbourhood(g, s)
-
-
-@given(small_graphs())
-def test_graph_minus_identities(g):
-    assert graph_minus(g, Graph([])) == g
-    assert graph_minus(g, g).n == 0

@@ -8,6 +8,7 @@ from cliquedyn.hexgrid import (
     BASIS,
     SUM2_OFFSETS,
     UNIT_STEPS,
+    add,
     build_lhg,
     classify_delta_inclusions,
     classify_triangle_coords,
@@ -19,7 +20,6 @@ from cliquedyn.hexgrid import (
     lhg_cliques_through_origin,
     lhg_expected_cliques,
     side_of,
-    triangle_inclusion,
 )
 from cliquedyn.io import graph_to_json
 from cliquedyn.surface import facets
@@ -83,16 +83,15 @@ def test_nabla_shapes():
 
 
 def test_triangle_inclusion_maps():
-    ident = triangle_inclusion(2, (0, 0, 0))
-    assert ident((1, 1, 0)) == (1, 1, 0)
-    shifted = triangle_inclusion(2, (1, 0, 0))
-    image = set(shifted.image_coords())
+    # a side-m triangle sits in a larger one as the translate of its coordinates
+    assert add((1, 1, 0), (0, 0, 0)) == (1, 1, 0)
+    image = {add(c, (1, 0, 0)) for c in delta_coords(2)}
     assert image <= set(delta_coords(3))
     assert all(c[0] >= 1 for c in image)
-    inner = triangle_inclusion(1, (1, 1, 1))
+    inner = {add(c, (1, 1, 1)) for c in delta_coords(1)}
     d4 = set(delta_coords(4))
     boundary = {c for c in d4 if min(c) == 0}
-    assert set(inner.image_coords()) == d4 - boundary
+    assert inner == d4 - boundary
 
 
 def test_hex_distance():
