@@ -190,9 +190,14 @@ def find_standard_charts(g: Graph, m: int) -> list[Chart]:
 
 
 def charts_by_image(charts: list[Chart]) -> dict[frozenset[int], list[Chart]]:
+    """The charts grouped by image; the charts of a group share one image
+    object, so the six charts of an image keep one frozenset alive, not six."""
     groups: dict[frozenset[int], list[Chart]] = {}
     for ch in charts:
-        groups.setdefault(ch.image, []).append(ch)
+        group = groups.setdefault(ch.image, [])
+        if group:
+            ch._image = group[0]._image
+        group.append(ch)
     return groups
 
 

@@ -8,17 +8,25 @@ a fan closes onto an existing slot, never because they happen to project
 to the same base vertex.  That realises the simply connected development.
 The ball returned is the lifted subgraph within the requested graph
 distance of the base lift.
+
+The development grows in rounds.  At each round start every lift's
+distance is its BFS distance from the base lift in the current
+development: a new lift gets one more than the nearer end of the edge it
+was glued across, and after the round a relaxation from the round's new
+edges lowers whatever they shortened.  A round glues a facet across every
+open edge (an edge in one facet) whose nearer end lies within the radius,
+in (distance of the nearer end, lo, hi) order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .charts import find_standard_charts
 from .graph import Graph, GraphError, induced_subgraph
 from .io import graph_to_dict
-from .surface import SurfaceReport, classify_vertex, facet_edges, facets, validate_surface
+from .surface import classify_vertex, facets, validate_surface
 
 
 class CoverError(GraphError):
@@ -51,81 +59,91 @@ class CoverBall:
 
 
 class _Unfolding:
-    def __init__(self, g: Graph, report: SurfaceReport):
-        self.g = g
-        self.cycle = {v: report.classes[v].order for v in g.vertices}
-        self.pos = {
-            v: {w: i for i, w in enumerate(order)} for v, order in self.cycle.items()
-        }
-        self.base: list[int] = []  # lift -> base vertex
-        self.arc: list[dict[int, int]] = []  # lift -> cycle slot -> lift
-        self.adj: list[set[int]] = []
-        self.edge_facets: dict[frozenset[int], list[frozenset[int]]] = {}
-        self.facet_set: set[frozenset[int]] = set()
+    """The development so far: lifts, their fans, the open edges and every
+    lift's exact graph distance from the base lift."""
 
-    def new_lift(self, base_v: int) -> int:
+    def __init__(self, g: Graph):
+        self.g = g
+        self.base: list[int] = []  # lift -> base vertex
+        self.arc: list[dict[int, int]] = []  # lift -> base neighbour -> lift
+        self.adj: list[set[int]] = []
+        self.dist: list[int] = []
+        # an edge in one facet, as (lo, hi) -> the third lift of that facet.
+        # No edge gets a third facet: a base edge has two facet thirds, and
+        # set_slot refuses a second lift in a slot, so add_facet can toggle.
+        self.open: dict[tuple[int, int], int] = {}
+        self.thirds: dict[tuple[int, int], list[int]] = {}  # base edge -> its facet thirds
+        self.added: list[tuple[int, int]] = []  # edges added since the last relax()
+
+    def new_lift(self, base_v: int, dist: int) -> int:
         self.base.append(base_v)
         self.arc.append({})
         self.adj.append(set())
+        self.dist.append(dist)
         return len(self.base) - 1
 
     def set_slot(self, lift: int, nbr_base: int, nbr_lift: int) -> None:
-        slot = self.pos[self.base[lift]][nbr_base]
-        cur = self.arc[lift].get(slot)
+        cur = self.arc[lift].get(nbr_base)
         if cur is None:
-            self.arc[lift][slot] = nbr_lift
+            self.arc[lift][nbr_base] = nbr_lift
             self.adj[lift].add(nbr_lift)
             self.adj[nbr_lift].add(lift)
+            self.added.append((lift, nbr_lift))
         elif cur != nbr_lift:
             raise CoverError("fan closure conflict; input is not a valid surface")
 
-    def slot_of(self, lift: int, nbr_base: int) -> int | None:
-        return self.arc[lift].get(self.pos[self.base[lift]][nbr_base])
-
     def add_facet(self, a: int, b: int, c: int) -> None:
-        f = frozenset((a, b, c))
-        if f in self.facet_set:
+        for x, y, third in ((a, b, c), (a, c, b), (b, c, a)):
+            e = (x, y) if x < y else (y, x)
+            if self.open.pop(e, None) is None:
+                self.open[e] = third
+
+    def relax(self) -> None:
+        """Lower distances across the edges added since the last call.
+
+        Before the additions every distance was exact and each new lift got
+        one more than its parent edge's nearer end, a real path; so a
+        Dijkstra pass seeded from the new edges leaves every distance exact."""
+        dist, adj = self.dist, self.adj
+        heap = []
+        for u, w in self.added:
+            if dist[u] + 1 < dist[w]:
+                dist[w] = dist[u] + 1
+                heap.append((dist[w], w))
+            elif dist[w] + 1 < dist[u]:
+                dist[u] = dist[w] + 1
+                heap.append((dist[u], u))
+        self.added.clear()
+        heapify(heap)
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            for w in adj[u]:
+                if d + 1 < dist[w]:
+                    dist[w] = d + 1
+                    heappush(heap, (d + 1, w))
+
+    def glue(self, la: int, lb: int) -> None:
+        """Attach the missing facet across the lifted edge ``la < lb``."""
+        seen_lift = self.open.get((la, lb))
+        if seen_lift is None:
             return
-        self.facet_set.add(f)
-        for e in facet_edges((a, b, c)):
-            self.edge_facets.setdefault(e, []).append(f)
-
-    def boundary_edges(self):
-        return [e for e, fs in self.edge_facets.items() if len(fs) == 1]
-
-    def distances(self, start: int) -> list[float]:
-        dist = [float("inf")] * len(self.base)
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] == float("inf"):
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    def glue(self, edge: frozenset[int]) -> None:
-        """Attach the missing facet across a lifted edge."""
-        fs = self.edge_facets[edge]
-        if len(fs) >= 2:
-            return
-        la, lb = sorted(edge)
         a, b = self.base[la], self.base[lb]
-        thirds = sorted(self.g.neighbors(a) & self.g.neighbors(b))
-        if len(thirds) != 2:
-            raise CoverError(f"base edge ({a},{b}) does not lie in two facets")
-        (existing,) = fs
-        (seen_lift,) = [x for x in existing if x not in edge]
-        seen_base = self.base[seen_lift]
-        c = thirds[0] if thirds[1] == seen_base else thirds[1]
-        lc_a = self.slot_of(la, c)
-        lc_b = self.slot_of(lb, c)
+        thirds = self.thirds.get((a, b))
+        if thirds is None:
+            thirds = sorted(self.g.neighbors(a) & self.g.neighbors(b))
+            if len(thirds) != 2:
+                raise CoverError(f"base edge ({a},{b}) does not lie in two facets")
+            self.thirds[(a, b)] = thirds
+        c = thirds[0] if thirds[1] == self.base[seen_lift] else thirds[1]
+        lc_a = self.arc[la].get(c)
+        lc_b = self.arc[lb].get(c)
         if lc_a is not None and lc_b is not None and lc_a != lc_b:
             raise CoverError("incompatible fan closures; input is not a surface")
         lc = lc_a if lc_a is not None else lc_b
         if lc is None:
-            lc = self.new_lift(c)
+            lc = self.new_lift(c, min(self.dist[la], self.dist[lb]) + 1)
         self.set_slot(la, c, lc)
         self.set_slot(lb, c, lc)
         self.set_slot(lc, a, la)
@@ -151,8 +169,8 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
     if seed is None:
         raise CoverError(f"base vertex {base} lies in no facet")
 
-    unf = _Unfolding(g, report)
-    lifts = {v: unf.new_lift(v) for v in seed}
+    unf = _Unfolding(g)
+    lifts = {v: unf.new_lift(v, 0 if v == base else 1) for v in seed}
     for i, v in enumerate(seed):
         for w in seed[i + 1 :]:
             unf.set_slot(lifts[v], w, lifts[w])
@@ -160,22 +178,17 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
     unf.add_facet(*(lifts[v] for v in seed))
     base_lift = lifts[base]
 
+    dist = unf.dist
     while True:
-        dist = unf.distances(base_lift)
+        unf.relax()
         todo = sorted(
-            (
-                e
-                for e in unf.boundary_edges()
-                if min(dist[x] for x in e) <= r
-            ),
-            key=lambda e: (min(dist[x] for x in e), sorted(e)),
+            (d, lo, hi) for lo, hi in unf.open if (d := min(dist[lo], dist[hi])) <= r
         )
         if not todo:
             break
-        for e in todo:
-            unf.glue(e)
+        for _, lo, hi in todo:
+            unf.glue(lo, hi)
 
-    dist = unf.distances(base_lift)
     keep = sorted(i for i in range(len(unf.base)) if dist[i] <= r)
     relabel = {old: new for new, old in enumerate(keep)}
     edges = [

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import networkx as nx
+
 from cliquedyn.graph import Graph
 from cliquedyn.generators import hex_torus
 from cliquedyn.surface import classify_vertex
@@ -98,3 +100,9 @@ def complete_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    out = nx.Graph(list(g.edges()))
+    out.add_nodes_from(g.vertices)
+    return out

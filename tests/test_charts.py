@@ -176,6 +176,15 @@ def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
             assert fast == slow
 
 
+def test_charts_of_one_image_share_its_image_object():
+    charts = find_standard_charts(gen_hex_patch(8).graph, 3)
+    groups = charts_by_image(charts)
+    assert len(charts) == 6 * len(groups)
+    assert len({id(ch.image) for ch in charts}) == len(groups)
+    for image, group in groups.items():
+        assert all(ch.image is group[0].image and ch.image == image for ch in group)
+
+
 def test_chart_lists_are_computed_once_per_side():
     g = gen_hex_patch(4).graph
     charts = find_standard_charts(g, 2)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquedyn.cliques import (
     BudgetError,
@@ -12,7 +14,7 @@ from cliquedyn.cliques import (
 from cliquedyn.graph import Graph, GraphError
 from cliquedyn.hexgrid import gen_hex_patch
 from cliquedyn.isomorphism import is_isomorphic
-from helpers import complete_graph, cycle_graph
+from helpers import complete_graph, cycle_graph, degree_seven_surface, to_networkx
 
 
 def test_k4_single_clique():
@@ -160,3 +162,28 @@ def test_iterate_path_collapses_to_a_point():
 def test_intersection_edges_pair_the_sets_that_meet():
     sets = [{0, 1}, {1, 2}, {3}, {0, 3}, set()]
     assert intersection_edges(sets) == {(0, 1), (0, 3), (2, 3)}
+
+
+def _assert_cliques_match_networkx(g: Graph) -> None:
+    ours = max_cliques(g)
+    assert len(set(ours)) == len(ours)
+    assert set(ours) == {frozenset(c) for c in nx.find_cliques(to_networkx(g))}
+
+
+def test_max_cliques_matches_networkx_on_surfaces(octa, icosa, t44, genus2):
+    for g in (octa, icosa, t44, genus2, clique_graph(degree_seven_surface())):
+        _assert_cliques_match_networkx(g)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(range(n), [p for p, keep in zip(pairs, mask) if keep])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_max_cliques_matches_networkx_on_random_graphs(g):
+    _assert_cliques_match_networkx(g)

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from collections import Counter, deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquedyn.covers import (
     CoverError,
+    _Unfolding,
     decide_finite,
     delta_embedding_bound,
     universal_cover_ball,
     validate_covering_map,
 )
-from cliquedyn.generators import hex_torus
+from cliquedyn.generators import hex_torus, octahedron
 from cliquedyn.graph import Graph, induced_subgraph
 from cliquedyn.hexgrid import gen_hex_patch
 from cliquedyn.isomorphism import is_isomorphic
 from cliquedyn.surface import validate_surface
-from helpers import complete_graph, cycle_graph
+from helpers import complete_graph, cycle_graph, degree_seven_surface, genus2_surface
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +164,97 @@ def test_embedding_bound_reports_observation_only(genus2):
     # at radius 6; the sentinel m_max + 1 reports exactly that
     ball = universal_cover_ball(genus2, base=genus2.vertices[0], r=6)
     assert delta_embedding_bound(ball, 5) == 6
+
+
+SURFACES = {
+    "genus2": (genus2_surface, lambda g: g.vertices[0]),
+    "septic": (degree_seven_surface, lambda g: g.vertices[0]),
+    "t44": (lambda: hex_torus(4, 4), lambda g: 0),
+    "octa": (octahedron, lambda g: 0),
+}
+
+
+def _ball(name: str, r: int):
+    make, pick_base = SURFACES[name]
+    g = make()
+    return universal_cover_ball(g, pick_base(g), r)
+
+
+@pytest.mark.parametrize(
+    "name, r, digest",
+    [
+        ("genus2", 0, "03ab850d9969ccfedcfa40ddd1143dbdbfda83324b19f27b950c7c06cb291130"),
+        ("genus2", 3, "72fc6fc6710dda744cecc0e1647d80c43b0686b95dcfa70eaa05098fde92b935"),
+        ("genus2", 9, "e380a8ea08627b5f0042fb73ba58854762590c95d8de05994cf7182f0797b5a6"),
+        ("septic", 6, "1fd9ec44bf3076f72c60a968f1de9e5be96e0cba0fd7f998468f3192599f51a1"),
+        ("t44", 5, "1a9631511e2dbb12853cf383294a8efde98b11082ff84f245e5772d3b739b0ae"),
+        ("octa", 3, "fadb9b0f6fcb2d4eb3c12904485fb729fde5a7c2fec9b59efc1d31673128be4b"),
+    ],
+)
+def test_cover_ball_output_is_pinned(name, r, digest):
+    """Lift ids, edge order and projection are part of the `cover build`
+    output: the unfolding must create and glue lifts in the same order."""
+    ball = _ball(name, r)
+    text = json.dumps(ball.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _bfs_distances(neighbours, start: int) -> dict[int, int]:
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in neighbours(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _projection_layers(ball) -> dict[int, Counter]:
+    dist = _bfs_distances(ball.graph.neighbors, ball.base_lift)
+    assert len(dist) == ball.graph.n
+    layers: dict[int, Counter] = {}
+    for v, d in dist.items():
+        layers.setdefault(d, Counter())[ball.projection[v]] += 1
+    return layers
+
+
+@pytest.mark.parametrize("name, r", [("genus2", 6), ("septic", 4), ("t44", 5)])
+def test_nested_balls_agree_layer_by_layer(name, r):
+    """A shortest path to a lift stays inside any ball that holds the lift,
+    so BFS in the ball graph measures the development's distances.  Every
+    lift then lies within the radius, and each layer up to r projects onto
+    the same multiset of base vertices in ball(r) as in ball(r + 2): a lift
+    kept or dropped on a stale distance breaks one or the other."""
+    small, big = _ball(name, r), _ball(name, r + 2)
+    small_layers, big_layers = _projection_layers(small), _projection_layers(big)
+    assert max(small_layers) <= r and max(big_layers) <= r + 2
+    for d in range(r + 1):
+        assert small_layers[d] == big_layers[d], d
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_relax_restores_exact_distances(data):
+    """Grow a development in batches the way a round does: a new lift is
+    born one step beyond an existing lift, and new edges may shortcut old
+    ones.  After each relax() every distance is the BFS distance.
+
+    On the fixture surfaces no round's edges ever lower a distance, so the
+    relaxation is exercised here on arbitrary shortcuts."""
+    unf = _Unfolding(Graph([0]))
+    unf.new_lift(0, 0)
+    for _ in range(data.draw(st.integers(1, 5))):
+        for _ in range(data.draw(st.integers(0, 6))):
+            parent = data.draw(st.integers(0, len(unf.base) - 1))
+            lift = unf.new_lift(len(unf.base), unf.dist[parent] + 1)
+            unf.set_slot(lift, unf.base[parent], parent)
+        for _ in range(data.draw(st.integers(0, 4))):
+            u = data.draw(st.integers(0, len(unf.base) - 1))
+            w = data.draw(st.integers(0, len(unf.base) - 1))
+            if u != w and w not in unf.adj[u]:
+                unf.set_slot(u, unf.base[w], w)
+        unf.relax()
+        dist = _bfs_distances(unf.adj.__getitem__, 0)
+        assert unf.dist == [dist[x] for x in range(len(unf.base))]

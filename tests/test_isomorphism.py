@@ -30,6 +30,7 @@ from helpers import (
     degree_seven_surface,
     genus2_surface,
     reference_refine,
+    to_networkx,
 )
 
 
@@ -285,17 +286,12 @@ DIFFERENTIAL_BASES = [
 
 
 def _nx_isomorphic(g: Graph, h: Graph) -> bool:
-    def to_nx(x: Graph) -> nx.Graph:
-        out = nx.Graph(list(x.edges()))
-        out.add_nodes_from(x.vertices)
-        return out
-
     # VF2++ rather than nx.is_isomorphic's VF2, which took minutes on some
     # double-edge-swap near misses of the genus-2 surface; could_be_isomorphic
     # compares degree, triangle and clique sequences, a necessary condition
     # that settles the near misses of the 7-regular iterate, where VF2++
     # takes seconds
-    a, b = to_nx(g), to_nx(h)
+    a, b = to_networkx(g), to_networkx(h)
     return nx.could_be_isomorphic(a, b) and nx.vf2pp_is_isomorphic(a, b)
 
 
