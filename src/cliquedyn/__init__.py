@@ -49,7 +49,6 @@ from .hexgrid import (
 )
 from .isomorphism import (
     BudgetError,
-    BudgetExceededError,
     canonical_hash,
     find_isomorphism,
     induced_embeddings,

@@ -12,7 +12,6 @@ of its base edge is known.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from .graph import Graph, GraphError, closed_neighbourhood
 from .hexgrid import (
@@ -43,12 +42,11 @@ class ChartConflictError(ChartError):
 class Chart:
     """Injective coordinate map onto an induced triangular subgraph."""
 
-    __slots__ = ("m", "mapping", "target", "_image", "_inverse")
+    __slots__ = ("m", "mapping", "_image", "_inverse")
 
-    def __init__(self, m: int, mapping: dict[Coord, int], target: Graph):
+    def __init__(self, m: int, mapping: dict[Coord, int]):
         self.m = m
         self.mapping = mapping
-        self.target = target
         self._image: frozenset[int] | None = None
         self._inverse: dict[int, Coord] | None = None
 
@@ -103,22 +101,23 @@ def min_boundary_distance(g: Graph, support) -> float:
 
 @lru_cache(maxsize=64)
 def _fill_plan(m: int) -> tuple[tuple[Coord, Coord, Coord, Coord], ...]:
-    """Development order after the corner anchors: each entry is
-    (new, base1, base2, far) where {new, base1, base2} is a facet and far
-    is the other lattice facet over the edge (base1, base2)."""
+    """Development order after the corner anchors at (0, 0, m),
+    (0, 1, m-1) and (1, 0, m-1): each entry is (new, base1, base2, far)
+    where {new, base1, base2} is a facet and far is the other lattice
+    facet over the edge (base1, base2)."""
     plan: list[tuple[Coord, Coord, Coord, Coord]] = []
     for r in range(m - 2, -1, -1):
         width = m - r
         for s in range(1, width):
             t = width - s
             plan.append(
-                ((r, s, t), (r + 1, s - 1, t), (r + 1, s, t - 1), (r + 2, s - 1, t - 1))
+                ((t, s, r), (t, s - 1, r + 1), (t - 1, s, r + 1), (t - 1, s - 1, r + 2))
             )
         plan.append(
-            ((r, 0, width), (r + 1, 0, width - 1), (r, 1, width - 1), (r + 1, 1, width - 2))
+            ((width, 0, r), (width - 1, 0, r + 1), (width - 1, 1, r), (width - 2, 1, r + 1))
         )
         plan.append(
-            ((r, width, 0), (r + 1, width - 1, 0), (r, width - 1, 1), (r + 1, width - 2, 1))
+            ((0, width, r), (0, width - 1, r + 1), (1, width - 1, r), (1, width - 2, r + 1))
         )
     return tuple(plan)
 
@@ -158,10 +157,12 @@ def _is_induced_triangle(g: Graph, mapping: dict[Coord, int], m: int) -> bool:
 
 
 def find_standard_charts(g: Graph, m: int) -> list[Chart]:
-    """Every chart of the side-m triangle onto an induced subgraph of g.
+    """One chart per induced side-m triangle of g, sorted by ``Chart.key``.
 
-    For m >= 1, each image admits exactly six charts on a locally
-    grid-like host (one per ordered corner facet).
+    Each triangle's chart is the least of its charts in key order: the
+    least corner sits at (0, 0, m) and its smaller triangle neighbour at
+    (0, 1, m-1).  The triangle's other charts are this one recomposed
+    with the coordinate permutations of the domain.
 
     Computed once per graph and side length; the returned list is shared,
     so callers must not modify it."""
@@ -169,41 +170,30 @@ def find_standard_charts(g: Graph, m: int) -> list[Chart]:
     if key in g._memo:
         return g._memo[key]
     if m == 0:
-        charts = [Chart(0, {(0, 0, 0): v}, g) for v in g.vertices]
+        charts = [Chart(0, {(0, 0, 0): v}) for v in g.vertices]
         g._memo[key] = charts
         return charts
     _require_patch_surface(g)
     charts = []
-    corner, c1, c2 = (m, 0, 0), (m - 1, 1, 0), (m - 1, 0, 1)
-    for f in facets(g):
-        for u, v, w in permutations(f):
+    corner, c1, c2 = (0, 0, m), (0, 1, m - 1), (1, 0, m - 1)
+    far1, far2 = (m, 0, 0), (0, m, 0)
+    for a, b, c in facets(g):
+        # the orderings of the sorted facet with c1's vertex below c2's
+        for u, v, w in ((a, b, c), (b, a, c), (c, a, b)):
             anchor = {corner: u, c1: v, c2: w}
             # _develop keeps the mapping injective; a facet's corners are distinct
             mapping = _develop(g, anchor, m) if m >= 2 else anchor
-            if mapping is None:
+            if mapping is None or u > mapping[far1] or u > mapping[far2]:
                 continue
             if _is_induced_triangle(g, mapping, m):
-                charts.append(Chart(m, mapping, g))
+                charts.append(Chart(m, mapping))
     charts.sort(key=Chart.key)
     g._memo[key] = charts
     return charts
 
 
-def charts_by_image(charts: list[Chart]) -> dict[frozenset[int], list[Chart]]:
-    """The charts grouped by image; the charts of a group share one image
-    object, so the six charts of an image keep one frozenset alive, not six."""
-    groups: dict[frozenset[int], list[Chart]] = {}
-    for ch in charts:
-        group = groups.setdefault(ch.image, [])
-        if group:
-            ch._image = group[0]._image
-        group.append(ch)
-    return groups
-
-
 def chart_of_support(g: Graph, support) -> Chart:
-    """The first chart, in ``Chart.key`` order, whose image is exactly
-    ``support`` (raises if none)."""
+    """The chart whose image is exactly ``support`` (raises if none)."""
     support = frozenset(support)
     m = side_of(len(support))
     if m is None:
@@ -217,12 +207,11 @@ def chart_of_support(g: Graph, support) -> Chart:
 class ExtendedChart:
     """A chart on the side-m triangle extended across its neighbourhood."""
 
-    __slots__ = ("base", "mapping", "dead")
+    __slots__ = ("base", "mapping")
 
-    def __init__(self, base: Chart, mapping: dict[Coord, int], dead: frozenset[Coord]):
+    def __init__(self, base: Chart, mapping: dict[Coord, int]):
         self.base = base
         self.mapping = mapping
-        self.dead = dead
 
     def __getitem__(self, c: Coord) -> int:
         return self.mapping[c]
@@ -286,7 +275,6 @@ def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
     used = set(mapping.values())
     base_coords = set(chart.mapping)
     pending = set(_extension_domain(m)) - base_coords
-    dead: set[Coord] = set()
 
     progress = True
     while progress:
@@ -318,7 +306,6 @@ def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
                 )
             if not candidates:
                 pending.discard(c)
-                dead.add(c)
                 progress = True
                 continue
             (x,) = candidates
@@ -330,7 +317,7 @@ def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
             used.add(x)
             pending.discard(c)
             progress = True
-    return ExtendedChart(chart, mapping, frozenset(dead | pending))
+    return ExtendedChart(chart, mapping)
 
 
 def neighbour_triangles(g: Graph, support) -> list[frozenset[int]]:

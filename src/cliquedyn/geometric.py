@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .charts import Chart, charts_by_image, find_standard_charts, min_boundary_distance
+from .charts import Chart, find_standard_charts, min_boundary_distance
 from .cliques import intersection_edges, max_cliques
 from .graph import Graph, GraphError, closed_neighbourhood, common_neighbourhood
 from .hexgrid import BASIS, classify_triangle_coords
@@ -90,11 +90,6 @@ class GeoBuilder:
                 f"host vertex {self.report.invalid_vertices[0]} has no cyclic or path neighbourhood"
             )
 
-    def images(self, m: int) -> dict[frozenset[int], Chart]:
-        """The side-m images, each with its first chart."""
-        groups = charts_by_image(find_standard_charts(self.host, m))
-        return {image: charts[0] for image, charts in groups.items()}
-
     def build(self, n: int, margin: int = 0) -> GeoGraph:
         if n < 0 or margin < 0:
             raise GeoError("n and margin must be non-negative")
@@ -102,8 +97,8 @@ class GeoBuilder:
             (
                 chart
                 for m in range(n % 2, n + 1, 2)
-                for image, chart in self.images(m).items()
-                if min_boundary_distance(self.host, image) >= margin
+                for chart in find_standard_charts(self.host, m)
+                if min_boundary_distance(self.host, chart.image) >= margin
             ),
             key=lambda ch: (ch.m, sorted(ch.image)),
         )

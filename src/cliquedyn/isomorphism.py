@@ -38,10 +38,6 @@ class BudgetError(RuntimeError):
     """A search or iteration budget was exhausted; the answer is unknown."""
 
 
-# alias so that existing imports of the labeling layer's name keep working
-BudgetExceededError = BudgetError
-
-
 class _Partition:
     """An ordered partition of the vertices 0..n-1.
 
@@ -378,17 +374,11 @@ def _pattern_plan(pattern: Graph) -> list[tuple[int, tuple[int, ...], tuple[int,
     return plan
 
 
-def induced_embeddings(
-    pattern: Graph, host: Graph, limit: int | None = None
-) -> Iterator[dict[int, int]]:
+def induced_embeddings(pattern: Graph, host: Graph) -> Iterator[dict[int, int]]:
     """All injective maps pattern -> host whose image is an induced copy of
     the pattern.  Plain backtracking; used as the independent brute-force
     oracle for lattice classification results."""
     plan = _pattern_plan(pattern)
-    if not plan:
-        yield {}
-        return
-    count = 0
     assignment: dict[int, int] = {}
     used: set[int] = set()
 
@@ -408,7 +398,6 @@ def induced_embeddings(
             yield cand
 
     def rec(step: int) -> Iterator[dict[int, int]]:
-        nonlocal count
         if step == len(plan):
             yield dict(assignment)
             return
@@ -420,11 +409,7 @@ def induced_embeddings(
             used.discard(cand)
             del assignment[v]
 
-    for emb in rec(0):
-        yield emb
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    yield from rec(0)
 
 
 def induced_images(pattern: Graph, host: Graph) -> list[frozenset[int]]:

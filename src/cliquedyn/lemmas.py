@@ -129,9 +129,9 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
     counts = {}
     for m in (3, 4, 5):
         supports = [
-            img
-            for img in charts_mod.charts_by_image(charts_mod.find_standard_charts(g, m))
-            if charts_mod.min_boundary_distance(g, img) >= 3
+            ch.image
+            for ch in charts_mod.find_standard_charts(g, m)
+            if charts_mod.min_boundary_distance(g, ch.image) >= 3
         ]
         if not supports:
             failures.append(f"no interior triangles of side {m}")

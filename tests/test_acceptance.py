@@ -9,7 +9,6 @@ import time
 import pytest
 
 from cliquedyn.charts import (
-    charts_by_image,
     find_standard_charts,
     min_boundary_distance,
     neighbour_triangles,
@@ -123,8 +122,8 @@ def test_criterion_5_neighbour_count_tightness():
         patch = gen_hex_patch(10)
         g = patch.graph
         for m, expected in ((3, 7), (4, 6), (5, 6), (6, 6)):
-            groups = charts_by_image(find_standard_charts(g, m))
-            deep = [img for img in groups if min_boundary_distance(g, img) >= 3]
+            images = {ch.image for ch in find_standard_charts(g, m)}
+            deep = [img for img in images if min_boundary_distance(g, img) >= 3]
             support = sorted(deep, key=sorted)[0]
             assert len(neighbour_triangles(g, support)) == expected
     report(5, "same-size neighbour counts are 7 (side 3) and 6 (sides 4..6)", t)

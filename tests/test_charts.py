@@ -3,11 +3,11 @@ from __future__ import annotations
 import pytest
 
 from cliquedyn.charts import (
+    Chart,
     ChartConflictError,
     ChartError,
     MarginError,
     chart_of_support,
-    charts_by_image,
     extend_chart,
     find_standard_charts,
     min_boundary_distance,
@@ -23,29 +23,18 @@ from cliquedyn.hexgrid import (
 )
 from cliquedyn.graph import GraphError, closed_neighbourhood, induced_subgraph
 from cliquedyn.isomorphism import induced_images
+from helpers import degree_seven_surface
 
 
 def interior_support(g, m, depth):
-    groups = charts_by_image(find_standard_charts(g, m))
-    deep = [img for img in groups if min_boundary_distance(g, img) >= depth]
+    images = {ch.image for ch in find_standard_charts(g, m)}
+    deep = [img for img in images if min_boundary_distance(g, img) >= depth]
     assert deep, f"no side-{m} triangle at depth {depth}"
     return sorted(deep, key=sorted)[0]
 
 
-def test_six_charts_per_image(patch6):
-    groups = charts_by_image(find_standard_charts(patch6.graph, 2))
-    assert groups and all(len(cs) == 6 for cs in groups.values())
-
-
 def test_no_triangles_of_side_two_in_octahedron(octa):
     assert find_standard_charts(octa, 2) == []
-
-
-def test_torus_facet_charts(t44):
-    charts = find_standard_charts(t44, 1)
-    groups = charts_by_image(charts)
-    assert len(groups) == 32
-    assert len(charts) == 192
 
 
 def test_charts_are_induced_isomorphisms(patch6):
@@ -56,16 +45,24 @@ def test_charts_are_induced_isomorphisms(patch6):
                 assert are_adjacent(a, b) == patch6.graph.has_edge(chart[a], chart[b])
 
 
-def test_chart_symmetry_equivariance(patch6):
-    charts = find_standard_charts(patch6.graph, 2)
-    keys = {chart.key() for chart in charts}
-    sample = charts[0]
-    # recomposing with a coordinate permutation is again a found chart
-    for perm in COORD_PERMUTATIONS:
-        twisted = tuple(
-            sorted((apply_permutation(perm, c), v) for c, v in sample.mapping.items())
-        )
-        assert twisted in keys
+def test_one_least_chart_per_triangle(octa, icosa, t44, genus2, patch6):
+    """Each triangle has one chart, and it is the least in key order: its
+    six recompositions with the coordinate permutations are induced charts
+    of the same image, none with a smaller key."""
+    hosts = [octa, icosa, t44, genus2, degree_seven_surface(), patch6.graph]
+    for host in hosts:
+        for m in (1, 2, 3, 4):
+            charts = find_standard_charts(host, m)
+            assert len({ch.image for ch in charts}) == len(charts)
+            for chart in charts:
+                for perm in COORD_PERMUTATIONS:
+                    twisted = {apply_permutation(perm, c): v for c, v in chart.mapping.items()}
+                    assert set(twisted.values()) == chart.image
+                    assert Chart(m, twisted).key() >= chart.key()
+                    coords = sorted(twisted)
+                    for i, a in enumerate(coords):
+                        for b in coords[i + 1 :]:
+                            assert are_adjacent(a, b) == host.has_edge(twisted[a], twisted[b])
 
 
 def test_m0_charts_are_vertices(octa):
@@ -117,7 +114,7 @@ def test_extension_margin_error():
     g = patch.graph
     shallow = [
         img
-        for img in charts_by_image(find_standard_charts(g, 5))
+        for img in {ch.image for ch in find_standard_charts(g, 5)}
         if min_boundary_distance(g, img) < 2
     ]
     with pytest.raises(MarginError):
@@ -171,18 +168,10 @@ def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
     hosts = [octa, icosa, t44, genus2, gen_hex_patch(4).graph, gen_delta(5).graph]
     for host in hosts:
         for m in (1, 2, 3):
-            fast = set(charts_by_image(find_standard_charts(host, m)))
+            charts = find_standard_charts(host, m)
             slow = set(induced_images(gen_delta(m).graph, host))
-            assert fast == slow
-
-
-def test_charts_of_one_image_share_its_image_object():
-    charts = find_standard_charts(gen_hex_patch(8).graph, 3)
-    groups = charts_by_image(charts)
-    assert len(charts) == 6 * len(groups)
-    assert len({id(ch.image) for ch in charts}) == len(groups)
-    for image, group in groups.items():
-        assert all(ch.image is group[0].image and ch.image == image for ch in group)
+            assert {ch.image for ch in charts} == slow
+            assert len(charts) == len(slow)
 
 
 def test_chart_lists_are_computed_once_per_side():
@@ -210,7 +199,7 @@ def test_extension_matches_neighbour_triangles_on_the_grid(patch8, m):
     g = patch8.graph
     supports = [
         img
-        for img in charts_by_image(find_standard_charts(g, m))
+        for img in {ch.image for ch in find_standard_charts(g, m)}
         if min_boundary_distance(g, img) >= 3
     ]
     assert supports
@@ -220,7 +209,7 @@ def test_extension_matches_neighbour_triangles_on_the_grid(patch8, m):
 
 def test_neighbour_triangles_where_extension_conflicts(genus2):
     g = genus2
-    for support in sorted(charts_by_image(find_standard_charts(g, 3)), key=sorted):
+    for support in sorted({ch.image for ch in find_standard_charts(g, 3)}, key=sorted):
         try:
             extension_images(g, support)
         except ChartConflictError:
@@ -234,7 +223,7 @@ def test_neighbour_triangles_beyond_the_unit_translates(genus2):
     """Near the surgery a side-6 triangle's neighbourhood holds a seventh
     triangle that is no unit translate of the extended chart."""
     g = genus2
-    for support in sorted(charts_by_image(find_standard_charts(g, 6)), key=sorted):
+    for support in sorted({ch.image for ch in find_standard_charts(g, 6)}, key=sorted):
         found = set(neighbour_triangles(g, support))
         try:
             if extension_images(g, support) < found:

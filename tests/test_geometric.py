@@ -7,7 +7,7 @@ import re
 import pytest
 
 from cliquedyn import geometric
-from cliquedyn.charts import chart_of_support, min_boundary_distance
+from cliquedyn.charts import chart_of_support, find_standard_charts, min_boundary_distance
 from cliquedyn.covers import universal_cover_ball
 from cliquedyn.generators import hex_torus
 from cliquedyn.geometric import (
@@ -98,12 +98,12 @@ def test_triangle_clique_contains_central_intersection(patch9_builder):
     support = sorted(
         (
             img
-            for img in builder.images(5)
+            for img in {ch.image for ch in find_standard_charts(builder.host, 5)}
             if min_boundary_distance(builder.host, img) >= 4
         ),
         key=sorted,
     )[0]
-    chart = builder.images(5)[support]
+    chart = chart_of_support(builder.host, support)
     clique = clique_from_triangle(gg4, chart)
     central = chart.sub_support((1, 1, 1), 2)
     assert gg4.gid(central) in clique
@@ -117,12 +117,12 @@ def test_summary_matches_construction_across_levels(patch9_builder):
         support = sorted(
             (
                 img
-                for img in builder.images(level)
+                for img in {ch.image for ch in find_standard_charts(builder.host, level)}
                 if min_boundary_distance(builder.host, img) >= n + 3
             ),
             key=sorted,
         )[0]
-        chart = builder.images(level)[support]
+        chart = chart_of_support(builder.host, support)
         members = clique_summary(gg, chart)  # compares with the construction itself
         assert members == clique_from_triangle(gg, chart)
 
@@ -131,10 +131,14 @@ def test_summary_level_two_contains_inverted_centre(patch9_builder):
     builder = patch9_builder
     gg1 = builder.build(1, margin=0)
     support = sorted(
-        (img for img in builder.images(2) if min_boundary_distance(builder.host, img) >= 5),
+        (
+            img
+            for img in {ch.image for ch in find_standard_charts(builder.host, 2)}
+            if min_boundary_distance(builder.host, img) >= 5
+        ),
         key=sorted,
     )[0]
-    chart = builder.images(2)[support]
+    chart = chart_of_support(builder.host, support)
     members = clique_summary(gg1, chart)
     inverted = frozenset(chart[c] for c in ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
     assert gg1.gid(inverted) in members
@@ -144,10 +148,14 @@ def test_summary_level_one_contains_inverted_parent(patch9_builder):
     builder = patch9_builder
     gg2 = builder.build(2, margin=0)
     support = sorted(
-        (img for img in builder.images(1) if min_boundary_distance(builder.host, img) >= 5),
+        (
+            img
+            for img in {ch.image for ch in find_standard_charts(builder.host, 1)}
+            if min_boundary_distance(builder.host, img) >= 5
+        ),
         key=sorted,
     )[0]
-    chart = builder.images(1)[support]
+    chart = chart_of_support(builder.host, support)
     members = clique_summary(gg2, chart)
     parents2 = [i for i in members if gg2.charts[i].m == 2]
     # three upright parents plus the inverted one around the facet

@@ -13,7 +13,7 @@ from cliquedyn.generators import hex_torus, octahedron
 from cliquedyn.graph import Graph
 from cliquedyn.hexgrid import gen_delta
 from cliquedyn.isomorphism import (
-    BudgetExceededError,
+    BudgetError,
     _CanonSearch,
     _Partition,
     canonical_hash,
@@ -87,11 +87,11 @@ def test_equivalence_relation_spot_checks(octa, t44):
 
 
 def test_one_budget_exception():
-    assert cliques.BudgetError is BudgetExceededError
+    assert cliques.BudgetError is isomorphism.BudgetError
 
 
 def test_budget_signal_is_distinct():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetError):
         canonical_hash(cycle_graph(40), budget=10)
 
 
@@ -138,7 +138,7 @@ def test_induced_embeddings_count_triangles(octa):
     images = induced_images(gen_delta(1).graph, octa)
     assert len(images) == 8
     embeddings = list(induced_embeddings(gen_delta(1).graph, octa))
-    assert len(embeddings) == 48  # six charts per facet
+    assert len(embeddings) == 48  # six embeddings per facet
 
 
 def test_induced_embeddings_require_induced():
