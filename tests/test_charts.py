@@ -33,6 +33,24 @@ def interior_support(g, m, depth):
     return sorted(deep, key=sorted)[0]
 
 
+def recompositions(chart):
+    """The charts of ``chart.image``: the stored chart recomposed with each
+    coordinate permutation of the domain."""
+    return [
+        Chart(chart.m, {apply_permutation(perm, c): v for c, v in chart.mapping.items()})
+        for perm in COORD_PERMUTATIONS
+    ]
+
+
+def test_six_charts_per_image(patch6):
+    charts = find_standard_charts(patch6.graph, 2)
+    assert charts
+    for chart in charts:
+        keys = {twisted.key() for twisted in recompositions(chart)}
+        assert len(keys) == 6
+        assert chart.key() == min(keys)
+
+
 def test_no_triangles_of_side_two_in_octahedron(octa):
     assert find_standard_charts(octa, 2) == []
 
@@ -45,6 +63,21 @@ def test_charts_are_induced_isomorphisms(patch6):
                 assert are_adjacent(a, b) == patch6.graph.has_edge(chart[a], chart[b])
 
 
+def test_torus_facet_charts(t44):
+    charts = find_standard_charts(t44, 1)
+    assert len({ch.image for ch in charts}) == 32
+    assert len(charts) == 32
+    assert len({twisted.key() for ch in charts for twisted in recompositions(ch)}) == 192
+
+
+def test_chart_symmetry_equivariance(patch6):
+    sample = find_standard_charts(patch6.graph, 2)[0]
+    # every recomposition of a stored chart has that chart as its least recomposition
+    for twisted in recompositions(sample):
+        assert twisted.image == sample.image
+        assert min(t.key() for t in recompositions(twisted)) == sample.key()
+
+
 def test_one_least_chart_per_triangle(octa, icosa, t44, genus2, patch6):
     """Each triangle has one chart, and it is the least in key order: its
     six recompositions with the coordinate permutations are induced charts
@@ -55,11 +88,10 @@ def test_one_least_chart_per_triangle(octa, icosa, t44, genus2, patch6):
             charts = find_standard_charts(host, m)
             assert len({ch.image for ch in charts}) == len(charts)
             for chart in charts:
-                for perm in COORD_PERMUTATIONS:
-                    twisted = {apply_permutation(perm, c): v for c, v in chart.mapping.items()}
-                    assert set(twisted.values()) == chart.image
-                    assert Chart(m, twisted).key() >= chart.key()
-                    coords = sorted(twisted)
+                for twisted in recompositions(chart):
+                    assert twisted.image == chart.image
+                    assert twisted.key() >= chart.key()
+                    coords = sorted(twisted.mapping)
                     for i, a in enumerate(coords):
                         for b in coords[i + 1 :]:
                             assert are_adjacent(a, b) == host.has_edge(twisted[a], twisted[b])
