@@ -68,6 +68,13 @@ class Chart:
             self._inverse = {v: c for c, v in self.mapping.items()}
         return self._inverse
 
+    def core(self, depth: int) -> frozenset[int]:
+        """Image of the domain coordinates at least ``depth`` from every
+        side of the triangle; ``core(0)`` is the image."""
+        if depth == 0:
+            return self.image
+        return frozenset(v for c, v in self.mapping.items() if min(c) >= depth)
+
     def sub_support(self, offset: Coord, size: int) -> frozenset[int]:
         """Image of the translated side-``size`` triangle inside the domain."""
         return frozenset(self.mapping[add(c, offset)] for c in delta_coords(size))

@@ -71,6 +71,8 @@ def cmd_generate(args) -> int:
             f"generator {kind} takes {GENERATOR_PARAMS[kind]} parameter(s),"
             f" got {len(args.params)}"
         )
+    if args.e is not None and (kind, args.params) != ("nabla", ["1e"]):
+        raise GraphError("--e is a parameter of nabla 1e only")
     if kind == "hex-patch":
         g = gen_hex_patch(_int_param(kind, args.params[0])).graph
     elif kind == "delta":

@@ -1,12 +1,23 @@
 """The level graph of triangular subgraphs and its clique structure.
 
 Vertices are the induced triangular subgraphs of the host whose side
-length has the parity of ``n`` and is at most ``n``.  Edges follow four
-containment rules: same-size triangles are adjacent when one lies in the
-closed neighbourhood of the other; a triangle two sizes smaller must be
-contained; four sizes smaller must additionally avoid the boundary of the
-larger; six sizes smaller must avoid even the closed neighbourhood of
-that boundary.
+length has the parity of ``n`` and is at most ``n``.  Edges follow one
+containment rule: a vertex ``gap`` levels below vertex i, for gap in
+{0, 2, 4, 6}, is adjacent to it when its support lies in the region
+R_gap(i).  R_0 is the closed neighbourhood of i's support and R_gap is
+``charts[i].core(gap // 2 - 1)`` otherwise.
+
+These are the paper's four rules: same-size triangles are adjacent when
+one lies in the closed neighbourhood of the other; a triangle two sizes
+smaller must be contained; four sizes smaller must additionally avoid the
+boundary of the larger; six sizes smaller must avoid even the closed
+neighbourhood of that boundary.  The boundary is the image of the domain
+coordinates whose least entry is 0, so the support without it is
+``core(1)``.  Every chart image is induced, so its host edges are lattice
+edges, and a lattice step changes the least coordinate by at most 1.  So
+no vertex of ``core(2)`` is adjacent to the boundary, while every other
+vertex off the boundary has a lattice neighbour on it, and the support
+without the closed neighbourhood of its boundary is ``core(2)``.
 
 Cliques of this graph arrive in exactly two shapes, one anchored at a
 triangle one size up, one anchored at a host vertex; the resulting
@@ -17,7 +28,6 @@ point certifies on deep interiors of patches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .charts import Chart, find_standard_charts, min_boundary_distance
 from .cliques import intersection_edges, max_cliques
@@ -46,7 +56,8 @@ class GeoGraph:
         self.margin: int = margin
         self.charts: list[Chart] = charts
         self.graph: Graph = graph
-        self.membership: dict[int, list[int]] = membership  # host vertex -> ids
+        # (level, host vertex) -> ids of that level whose support holds it
+        self.membership: dict[tuple[int, int], list[int]] = membership
         self.support_index: dict[frozenset[int], int] = {
             ch.image: i for i, ch in enumerate(charts)
         }
@@ -102,46 +113,27 @@ class GeoBuilder:
             ),
             key=lambda ch: (ch.m, sorted(ch.image)),
         )
-        # the inner loop reads supports from a plain list, not the property
-        supports = [ch.image for ch in charts]
+        membership: dict[tuple[int, int], list[int]] = {}
+        for i, chart in enumerate(charts):
+            for v in chart.image:
+                membership.setdefault((chart.m, v), []).append(i)
 
-        membership: dict[int, list[int]] = {}
-        for i, support in enumerate(supports):
-            for v in support:
-                membership.setdefault(v, []).append(i)
-
-        # edges in the order the rules find them, which fixes the edge order
-        # of to_dict; a same-size pair found from both sides counts once
+        # ids ascend with the level, so walking the gaps downwards and the
+        # ids upwards fixes the edge order of to_dict; a same-size pair found
+        # from both sides counts once
         edges: list[tuple[int, int]] = []
-
-        @cache
-        def support_boundary(i: int) -> frozenset[int]:
-            return frozenset(v for c, v in charts[i].mapping.items() if min(c) == 0)
-
-        @cache
-        def support_boundary_hood(i: int) -> frozenset[int]:
-            return closed_neighbourhood(self.host, support_boundary(i))
-
-        for i, support in enumerate(supports):
-            level = charts[i].m
-            hood = closed_neighbourhood(self.host, support)
-            candidates: set[int] = set()
-            for v in hood:
-                candidates.update(membership.get(v, ()))
-            candidates.discard(i)
-            for j in sorted(candidates):
-                other, other_level = supports[j], charts[j].m
-                if other_level == level:
-                    # same size: containment of one in the other's neighbourhood
-                    if other <= hood:
-                        edges.append((i, j))
-                elif other_level < level and other <= support:
-                    gap = level - other_level
-                    if (
-                        gap == 2
-                        or (gap == 4 and not other & support_boundary(i))
-                        or (gap == 6 and not other & support_boundary_hood(i))
-                    ):
+        for i, chart in enumerate(charts):
+            for gap in (6, 4, 2, 0):
+                if gap:
+                    region = chart.core(gap // 2 - 1)
+                else:
+                    region = closed_neighbourhood(self.host, chart.image)
+                candidates: set[int] = set()
+                for v in region:
+                    candidates.update(membership.get((chart.m - gap, v), ()))
+                candidates.discard(i)
+                for j in sorted(candidates):
+                    if charts[j].image <= region:
                         edges.append((i, j))
         graph = Graph(range(len(charts)), edges, name=f"levels<=({n})")
         return GeoGraph(self.host, n, margin, charts, graph, membership)
@@ -182,7 +174,7 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> frozenset[int]:
     cls = validate_surface(gg.host).classes.get(v)
     if cls is None or not cls.is_inner:
         raise GeoError(f"vertex {v} is not an inner vertex")
-    fan = [i for i in gg.membership.get(v, ()) if gg.charts[i].m == 1]
+    fan = gg.membership.get((1, v), ())
     if len(fan) != gg.host.degree(v):
         raise GeoMarginError(
             f"umbrella of vertex {v} is not fully inside the margin"
@@ -199,12 +191,9 @@ def clique_summary(gg: GeoGraph, chart: Chart) -> frozenset[int]:
     """
     if chart.m == 0:
         v = chart[(0, 0, 0)]
-        members = frozenset(
-            i
-            for i in gg.membership.get(v, ())
-            if gg.charts[i].m == 1
-            or (gg.charts[i].m == 3 and gg.charts[i][(1, 1, 1)] == v)
-        )
+        members = frozenset(gg.membership.get((1, v), ())) | {
+            i for i in gg.membership.get((3, v), ()) if gg.charts[i][(1, 1, 1)] == v
+        }
         built = clique_from_vertex(gg, v)
     else:
         members = _summary_from_chart(gg, chart)
@@ -229,9 +218,7 @@ def _summary_from_chart(gg: GeoGraph, chart: Chart) -> frozenset[int]:
         elif shape == "down":
             down_parent = i
     for i in _supersets(gg, support, level + 3):
-        ch = gg.charts[i]
-        interior = frozenset(ch[c] for c in ch.mapping if min(c) >= 1)
-        if interior == support:
+        if gg.charts[i].core(1) == support:
             members.add(i)
 
     if level == 1 and down_parent is not None:
@@ -240,16 +227,13 @@ def _summary_from_chart(gg: GeoGraph, chart: Chart) -> frozenset[int]:
         inner = frozenset(chart[c] for c in ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
         members.add(gg.gid(inner))
     elif level >= 3:
-        inner = frozenset(chart[c] for c in chart.mapping if min(c) >= 1)
-        members.add(gg.gid(inner))
+        members.add(gg.gid(chart.core(1)))
     return frozenset(members)
 
 
 def _supersets(gg: GeoGraph, support: frozenset[int], level: int) -> list[int]:
     return [
-        i
-        for i in gg.membership.get(min(support), ())
-        if gg.charts[i].m == level and support <= gg.charts[i].image
+        i for i in gg.membership.get((level, min(support)), ()) if support <= gg.charts[i].image
     ]
 
 

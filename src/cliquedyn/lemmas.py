@@ -281,6 +281,8 @@ def run_suites(names, **overrides) -> list[SuiteResult]:
     """Run the named suites (``["all"]`` for every suite), passing each the
     parameters it takes; a parameter that no chosen suite takes is an input
     error, not silently dropped."""
+    if "all" in names and names != ["all"]:
+        raise GraphError("suite 'all' cannot be combined with other suites")
     chosen = list(SUITES) if names == ["all"] else names
     for name in chosen:
         if name not in SUITES:

@@ -369,6 +369,9 @@ def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
             ["iterate", "TORUS", "--budget-vertices", "-1"],
             "--budget-vertices must be non-negative, got -1",
         ),
+        (["generate", "torus", "4", "4", "--e", "010"], "--e is a parameter of nabla 1e only"),
+        (["generate", "nabla", "1", "--e", "010"], "--e is a parameter of nabla 1e only"),
+        (["verify-lemmas", "all", "lhg"], "suite 'all' cannot be combined with other suites"),
     ],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, message):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -20,6 +21,7 @@ from cliquedyn.geometric import (
     clique_summary,
     verify_geometric_equivalence,
 )
+from cliquedyn.graph import closed_neighbourhood
 from cliquedyn.hexgrid import (
     OFFSETS_BY_GAP,
     add,
@@ -30,6 +32,14 @@ from cliquedyn.hexgrid import (
 )
 from cliquedyn.surface import boundary_distance
 from helpers import degree_seven_surface, genus2_surface
+
+
+@functools.cache
+def cover_ball(surface, radius):
+    """The universal cover ball of ``surface()`` around its first vertex,
+    built once so that its chart lists are found once."""
+    g = surface()
+    return universal_cover_ball(g, base=g.vertices[0], r=radius).graph
 
 
 @pytest.fixture(scope="module")
@@ -311,8 +321,7 @@ def test_verify_shares_charts_through_the_host_not_a_builder():
 def test_verify_equivalence_on_cover_balls_of_non_grid_surfaces(surface, radius, expected):
     """Cover balls of surfaces with degree-7 vertices are patches whose
     interiors are not hexagonal grids; the correspondence still holds."""
-    g = surface()
-    host = universal_cover_ball(g, base=g.vertices[0], r=radius).graph
+    host = cover_ball(surface, radius)
     got = []
     for n in range(4):
         report = verify_geometric_equivalence(host, n)
@@ -337,7 +346,7 @@ def test_failures_name_vertices_by_level_and_support(monkeypatch):
     assert any(re.search(pattern, f) for f in report.failures), report.failures
 
 
-# sha256 of the sorted-key JSON of the level graphs for n = 0..4, pinning
+# sha256 of the sorted-key JSON of the level graphs for n = 0, 1, ..., pinning
 # vertex order, edge order and the serialisation byte for byte
 LEVEL_GRAPH_DIGESTS = {
     ("hex_patch_9", 0): [
@@ -382,12 +391,36 @@ LEVEL_GRAPH_DIGESTS = {
         "1f40d030fae964b8488cbba92099bd278a17709f9cf2260c006d58092241a578",
         "1a89744b682cd6b5f42e1b47e05c5c04010801162ae6f4bfb9f03c985e0484df",
     ],
+    # n = 0..7 on the next two hosts: from n = 6 on, the gap-6 rule joins
+    # side-6 triangles to the side-0 triangles in their core(2)
+    ("hex_patch_12", 0): [
+        "f76f3812aab0c772bce977b3cb1c60f86cf540544469fb870342a040080cdc43",
+        "423529f64f61fac638800d219ad12808aaf237d6597c4a3587172f0bac034480",
+        "30d712cda782e00635a96f0494c20b59f80479aaddcaad5f4c0e76ef1309e167",
+        "384be664410ebbe3603108b4a3436a2243a273155020a394a8690aeaccfca4d0",
+        "f37b4de811c8fce4eba0141c17763ef2496e8cc95054d56c0fda15294d968edb",
+        "6742687e2ef1d31435aff0d8898e987e6208ddbd7ef889a5feded516f7d8d7b1",
+        "f2ff8785be6ee1e58d9632ebe8bbe21d903e466dc91b5f86276034a77baa4700",
+        "30e7d8d313e816716545d8650a934a5a58b25d9a7a78915825c1c342136a0b50",
+    ],
+    ("genus2_ball_9", 0): [
+        "19e506d199045144cfcf75cda06b93889a24a01d32fcd86a84f3609db927ecba",
+        "31c98b33361dfc372447b11f5581a8c7921afb861729443845d2ddf5a6c148da",
+        "7295655a6c15ba09e4467b73d6012bdac56c5fa97135f53d70a5244d48267664",
+        "2333c55f5d098e7c1b690e00b24a829ffebd90bf811d7881c3d1615de8d214f3",
+        "e8df410144e593fb18288decda30c77dac08ee8b7a4a0aacc05b6a06d31e931f",
+        "30361af8b84f0312d55f02e836b6c1c738091bf2235fb30d447ae6e0ebf261f1",
+        "d0e8656c9b16875d70c1e2821276cbf51da4d790c064b4591f9508449fe17eaa",
+        "55909568cf0ce4732019ccb8c16c56dbe521eb792357ee1c696ecbad9315b142",
+    ],
 }
 
 LEVEL_GRAPH_HOSTS = {
     "hex_patch_9": lambda: gen_hex_patch(9).graph,
     "delta_6": lambda: gen_delta(6).graph,
     "torus_5_5": lambda: hex_torus(5, 5),
+    "hex_patch_12": lambda: gen_hex_patch(12).graph,
+    "genus2_ball_9": lambda: cover_ball(genus2_surface, 9),
 }
 
 
@@ -398,6 +431,27 @@ def test_level_graph_serialisation_is_pinned(host, margin):
         hashlib.sha256(
             json.dumps(builder.build(n, margin).to_dict(), sort_keys=True).encode()
         ).hexdigest()
-        for n in range(5)
+        for n in range(len(LEVEL_GRAPH_DIGESTS[host, margin]))
     ]
     assert got == LEVEL_GRAPH_DIGESTS[host, margin]
+
+
+@pytest.mark.parametrize(
+    "surface, radius, count", [(genus2_surface, 9, 3888), (degree_seven_surface, 6, 1232)]
+)
+def test_chart_cores_avoid_the_sides_and_their_neighbourhood(surface, radius, count):
+    """The lemma behind the one containment rule, on patches whose interiors
+    are not hexagonal grids: a side vertex is one with fewer than six
+    neighbours in the image, ``core(1)`` is the image without the sides and
+    ``core(2)`` the image without the closed neighbourhood of the sides."""
+    host = cover_ball(surface, radius)
+    checked = 0
+    for m in range(2, 8):
+        for chart in find_standard_charts(host, m):
+            image = chart.image
+            sides = {v for v in image if len(host.neighbors(v) & image) < 6}
+            assert chart.core(0) == image
+            assert chart.core(1) == image - sides
+            assert chart.core(2) == image - closed_neighbourhood(host, sides)
+            checked += 1
+    assert checked == count
