@@ -6,16 +6,24 @@ vertex.  Around every lifted vertex the fan of lifted facets fills the
 slots of the base neighbourhood cycle; two lifts are identified only when
 a fan closes onto an existing slot, never because they happen to project
 to the same base vertex.  That realises the simply connected development.
-The ball returned is the lifted subgraph within the requested graph
-distance of the base lift.
 
 The development grows in rounds.  At each round start every lift's
 distance is its BFS distance from the base lift in the current
 development: a new lift gets one more than the nearer end of the edge it
 was glued across, and after the round a relaxation from the round's new
 edges lowers whatever they shortened.  A round glues a facet across every
-open edge (an edge in one facet) whose nearer end lies within the radius,
-in (distance of the nearer end, lo, hi) order.
+open edge (an edge in one facet) whose nearer end lies at distance < r,
+in (distance of the nearer end, lo, hi) order, so the fans of the lifts
+inside the radius close and no lift is born beyond it.
+
+Those fans hold the whole radius-r ball because inputs must have minimum
+degree 6.  Every link is then a cycle of length >= 6, so the cover is
+systolic (Januszkiewicz-Swiatkowski, Simplicial nonpositive curvature,
+2006), and by its projection lemma the vertices of B_{r-1} adjacent to all
+of a simplex in S_r span a non-empty simplex: every edge between two lifts
+at distance r lies in a facet whose third lift is at distance r - 1.
+Below degree 6 that fails; on the n = 4 antiprism-capped sphere a ring
+vertex's radius-2 ball has such an edge whose facets both lie in S_2.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from heapq import heapify, heappop, heappush
 from .charts import find_standard_charts
 from .graph import Graph, GraphError, induced_subgraph
 from .io import graph_to_dict
-from .surface import classify_vertex, facets, validate_surface
+from .surface import classify_vertex, validate_surface
 
 
 class CoverError(GraphError):
@@ -152,7 +160,7 @@ class _Unfolding:
 
 
 def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
-    """Unfold the universal cover around ``base`` out to graph distance ``r``."""
+    """Unfold the universal cover around ``base`` (lift 0) out to graph distance ``r``."""
     if base not in g:
         raise CoverError(f"unknown base vertex {base}")
     if r < 0:
@@ -160,56 +168,41 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
     report = validate_surface(g)
     if not report.is_locally_cyclic:
         raise CoverError("input is not locally cyclic")
+    if report.min_degree < 6:
+        raise CoverError(f"cover unfolding needs minimum degree 6, got {report.min_degree}")
 
-    seed = None
-    for f in facets(g):
-        if base in f:
-            seed = f
-            break
-    if seed is None:
-        raise CoverError(f"base vertex {base} lies in no facet")
-
+    a = min(g.neighbors(base))
+    seed = (base, a, min(g.neighbors(base) & g.neighbors(a)))
     unf = _Unfolding(g)
-    lifts = {v: unf.new_lift(v, 0 if v == base else 1) for v in seed}
-    for i, v in enumerate(seed):
-        for w in seed[i + 1 :]:
-            unf.set_slot(lifts[v], w, lifts[w])
-            unf.set_slot(lifts[w], v, lifts[v])
-    unf.add_facet(*(lifts[v] for v in seed))
-    base_lift = lifts[base]
+    for v in seed:
+        unf.new_lift(v, 0 if v == base else 1)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        unf.set_slot(i, seed[j], j)
+        unf.set_slot(j, seed[i], i)
+    unf.add_facet(0, 1, 2)
 
     dist = unf.dist
     while True:
         unf.relax()
         todo = sorted(
-            (d, lo, hi) for lo, hi in unf.open if (d := min(dist[lo], dist[hi])) <= r
+            (d, lo, hi) for lo, hi in unf.open if (d := min(dist[lo], dist[hi])) < r
         )
         if not todo:
             break
         for _, lo, hi in todo:
             unf.glue(lo, hi)
 
-    keep = sorted(i for i in range(len(unf.base)) if dist[i] <= r)
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (relabel[i], relabel[j])
-        for i in keep
-        for j in unf.adj[i]
-        if j in relabel and i < j
-    ]
+    # at r = 0 the seed facet's other two lifts lie outside the ball
+    n = len(unf.base) if r else 1
+    projection = dict(enumerate(unf.base[:n]))
     ball = Graph(
-        range(len(keep)),
-        edges,
+        range(n),
+        [(i, j) for i in range(n) for j in unf.adj[i] if i < j < n],
         name=f"cover_ball_{g.name or 'g'}_r{r}",
-        labels={relabel[i]: unf.base[i] for i in keep},
+        labels=projection,
     )
-    projection = {relabel[i]: unf.base[i] for i in keep}
     return CoverBall(
-        graph=ball,
-        projection=projection,
-        base_lift=relabel[base_lift],
-        base_vertex=base,
-        radius=r,
+        graph=ball, projection=projection, base_lift=0, base_vertex=base, radius=r
     )
 
 

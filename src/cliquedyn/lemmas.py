@@ -178,6 +178,8 @@ def equivalence_suite(radius: int = 12, n_max: int = 3) -> SuiteResult:
 
 
 def cover_suite(radius: int = 4) -> SuiteResult:
+    # the radius-0 ball is one lift with no inner vertex to check
+    _require(radius >= 1, f"cover needs radius at least 1, got {radius}")
     torus = hex_torus(4, 4)
     ball = universal_cover_ball(torus, base=0, r=radius)
     patch = hexgrid.gen_hex_patch(radius)
@@ -284,9 +286,11 @@ def run_suites(names, **overrides) -> list[SuiteResult]:
     if "all" in names and names != ["all"]:
         raise GraphError("suite 'all' cannot be combined with other suites")
     chosen = list(SUITES) if names == ["all"] else names
-    for name in chosen:
+    for i, name in enumerate(chosen):
         if name not in SUITES:
             raise GraphError(f"unknown suite {name!r}")
+        if name in chosen[:i]:
+            raise GraphError(f"suite {name!r} is named twice")
     given = {k: v for k, v in overrides.items() if v is not None}
     if "m" in given:
         m = given.pop("m")

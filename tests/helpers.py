@@ -94,6 +94,18 @@ def degree_seven_surface() -> Graph:
     return Graph(keep, edges, name="septic_surface")
 
 
+def capped_antiprism(n: int) -> Graph:
+    """The sphere of an n-antiprism band with a cone on each rim cycle.
+
+    Ring vertices 0..2n-1 have degree 5, the apexes 2n and 2n+1 degree n;
+    n = 5 gives the icosahedron."""
+    edges = []
+    for i in range(n):
+        j = (i + 1) % n
+        edges += [(i, j), (n + i, n + j), (i, n + i), (j, n + i), (2 * n, i), (2 * n + 1, n + i)]
+    return Graph(range(2 * n + 2), edges, name=f"capped_antiprism_{n}")
+
+
 def complete_graph(n: int) -> Graph:
     return Graph(range(n), [(a, b) for a in range(n) for b in range(a + 1, n)])
 

@@ -372,6 +372,8 @@ def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
         (["generate", "torus", "4", "4", "--e", "010"], "--e is a parameter of nabla 1e only"),
         (["generate", "nabla", "1", "--e", "010"], "--e is a parameter of nabla 1e only"),
         (["verify-lemmas", "all", "lhg"], "suite 'all' cannot be combined with other suites"),
+        (["verify-lemmas", "lhg", "lhg"], "suite 'lhg' is named twice"),
+        (["verify-lemmas", "cover", "--radius", "0"], "cover needs radius at least 1, got 0"),
     ],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, message):

@@ -4,6 +4,7 @@ import hashlib
 import json
 from collections import Counter, deque
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,12 +16,21 @@ from cliquedyn.covers import (
     universal_cover_ball,
     validate_covering_map,
 )
-from cliquedyn.generators import hex_torus, octahedron
+from cliquedyn.cli import main
+from cliquedyn.generators import hex_torus, icosahedron, octahedron
 from cliquedyn.graph import Graph, induced_subgraph
 from cliquedyn.hexgrid import gen_hex_patch
+from cliquedyn.io import graph_to_json
 from cliquedyn.isomorphism import is_isomorphic
 from cliquedyn.surface import validate_surface
-from helpers import complete_graph, cycle_graph, degree_seven_surface, genus2_surface
+from helpers import (
+    capped_antiprism,
+    complete_graph,
+    cycle_graph,
+    degree_seven_surface,
+    genus2_surface,
+    to_networkx,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +64,22 @@ def test_cover_ball_radius_zero(t44):
     assert ball.projection[ball.base_lift] == 3
 
 
-def test_octahedron_unfolds_to_itself(octa):
-    ball = universal_cover_ball(octa, base=0, r=3)
-    assert ball.graph.n == 6
-    assert is_isomorphic(ball.graph, octa)
-    values = sorted(ball.projection.values())
-    assert values == list(octa.vertices)  # projection injective
+def test_cover_rejects_minimum_degree_below_six(tmp_path, capsys):
+    """Below degree 6 the cover is not systolic, and the fans closed inside
+    the radius can miss a rim edge: on the n = 4 capped antiprism a ring
+    vertex's radius-2 ball would lose one of its 24 edges.  These spheres
+    are valid surfaces, so the error names the degree, not the surface."""
+    spheres = [(octahedron(), 4), (icosahedron(), 5), (capped_antiprism(4), 4)]
+    spheres += [(capped_antiprism(n), 5) for n in range(5, 9)]
+    for g, degree in spheres:
+        message = f"cover unfolding needs minimum degree 6, got {degree}"
+        with pytest.raises(CoverError) as exc:
+            universal_cover_ball(g, 0, 2)
+        assert str(exc.value) == message
+        path = tmp_path / f"{g.name}.json"
+        path.write_text(graph_to_json(g))
+        code = main(["cover", "build", str(path), "--radius", "2", "--base", "0"])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
 
 def test_genus2_cover_is_locally_faithful(genus2):
@@ -170,7 +190,6 @@ SURFACES = {
     "genus2": (genus2_surface, lambda g: g.vertices[0]),
     "septic": (degree_seven_surface, lambda g: g.vertices[0]),
     "t44": (lambda: hex_torus(4, 4), lambda g: 0),
-    "octa": (octahedron, lambda g: 0),
 }
 
 
@@ -185,10 +204,9 @@ def _ball(name: str, r: int):
     [
         ("genus2", 0, "03ab850d9969ccfedcfa40ddd1143dbdbfda83324b19f27b950c7c06cb291130"),
         ("genus2", 3, "72fc6fc6710dda744cecc0e1647d80c43b0686b95dcfa70eaa05098fde92b935"),
-        ("genus2", 9, "e380a8ea08627b5f0042fb73ba58854762590c95d8de05994cf7182f0797b5a6"),
-        ("septic", 6, "1fd9ec44bf3076f72c60a968f1de9e5be96e0cba0fd7f998468f3192599f51a1"),
+        ("genus2", 9, "f58e9b82f1eac80f788ab2c7377c8b70794241846eb02e9e54693851dbb297c6"),
+        ("septic", 6, "b7e0af005c381692c8c0026ea0c7c9d7fa4ac9408ccd62a6b5ae3c9f3b77fb61"),
         ("t44", 5, "1a9631511e2dbb12853cf383294a8efde98b11082ff84f245e5772d3b739b0ae"),
-        ("octa", 3, "fadb9b0f6fcb2d4eb3c12904485fb729fde5a7c2fec9b59efc1d31673128be4b"),
     ],
 )
 def test_cover_ball_output_is_pinned(name, r, digest):
@@ -220,18 +238,35 @@ def _projection_layers(ball) -> dict[int, Counter]:
     return layers
 
 
+def _labelled(ball, lifts) -> nx.Graph:
+    """The ball's subgraph on ``lifts``, each node labelled by its
+    projection and by whether it is the base lift."""
+    g = to_networkx(induced_subgraph(ball.graph, lifts))
+    labels = {v: (ball.projection[v], v == ball.base_lift) for v in lifts}
+    nx.set_node_attributes(g, labels, "label")
+    return g
+
+
 @pytest.mark.parametrize("name, r", [("genus2", 6), ("septic", 4), ("t44", 5)])
 def test_nested_balls_agree_layer_by_layer(name, r):
     """A shortest path to a lift stays inside any ball that holds the lift,
     so BFS in the ball graph measures the development's distances.  Every
     lift then lies within the radius, and each layer up to r projects onto
     the same multiset of base vertices in ball(r) as in ball(r + 2): a lift
-    kept or dropped on a stale distance breaks one or the other."""
+    kept or dropped on a stale distance breaks one or the other.  An edge
+    dropped between two rim lifts keeps every layer, so ball(r) must also
+    be the subgraph of ball(r + 2) on the lifts within r, under a map that
+    keeps projections and the base lift."""
     small, big = _ball(name, r), _ball(name, r + 2)
     small_layers, big_layers = _projection_layers(small), _projection_layers(big)
     assert max(small_layers) <= r and max(big_layers) <= r + 2
     for d in range(r + 1):
         assert small_layers[d] == big_layers[d], d
+    dist = _bfs_distances(big.graph.neighbors, big.base_lift)
+    inner = [v for v, d in dist.items() if d <= r]
+    assert nx.vf2pp_is_isomorphic(
+        _labelled(small, small.graph.vertices), _labelled(big, inner), node_label="label"
+    )
 
 
 @settings(max_examples=80, deadline=None)
