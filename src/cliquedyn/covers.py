@@ -241,7 +241,7 @@ def validate_covering_map(
     if stray is not None:
         raise CoverError(f"projection key {stray} is not a vertex of the source graph")
     for u, v in source.edges():
-        if p[u] == p[v] or not target.has_edge(p[u], p[v]):
+        if p[v] not in target.neighbors(p[u]):
             raise CoverError(f"not a homomorphism on edge ({u},{v})")
 
     violations = []
@@ -257,13 +257,17 @@ def validate_covering_map(
         if len(images) != len(nbrs):
             violations.append(f"edge lifting fails at {v}: neighbour images collide")
             continue
-        if images != set(target.neighbors(p[v])):
+        if images != target.neighbors(p[v]):
             violations.append(f"degree mismatch at {v}")
             continue
         for a in nbrs:
-            for b in nbrs:
-                if a < b and source.has_edge(a, b) != target.has_edge(p[a], p[b]):
-                    violations.append(f"triangle lifting fails at {v} on ({a},{b})")
+            # p is injective on nbrs, so equal sets mean no pair (a, b) fails
+            if {p[b] for b in source.neighbors(a) & nbrs} != target.neighbors(p[a]) & images:
+                for b in nbrs:
+                    if a < b and source.has_edge(a, b) != target.has_edge(p[a], p[b]):
+                        violations.append(f"triangle lifting fails at {v} on ({a},{b})")
+    if not checked:
+        raise CoverError("source graph has no inner vertex to check")
     return CoveringMapReport(True, checked, violations)
 
 
@@ -291,10 +295,7 @@ def decide_finite(g: Graph) -> Verdict:
     gates: dict = {"connected": g.is_connected()}
     if not gates["connected"]:
         return Verdict("unsupported", "input is disconnected", gates)
-    try:
-        report = validate_surface(g)
-    except GraphError as exc:
-        return Verdict("unsupported", str(exc), gates)
+    report = validate_surface(g)
     gates["locally_cyclic"] = report.is_locally_cyclic
     gates["min_degree"] = report.min_degree
     gates["max_degree"] = report.max_degree

@@ -3,8 +3,8 @@
 Graphs are frozen after construction and all operations here are pure
 functions, so values can be shared freely.  Data derived from a graph's
 structure alone is memoised on the graph itself, since it can never go
-stale: the surface report, boundary distances, chart lists and the
-canonical order.
+stale: connectivity, the surface report, boundary distances, chart lists
+and the canonical order.
 Vertex ids are opaque integers; generator metadata (for example lattice
 coordinates) travels in the optional ``labels`` mapping, which every
 structural operation ignores.
@@ -112,16 +112,16 @@ class Graph:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
     def is_connected(self) -> bool:
-        if not self._vertices:
-            return True
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        if "connected" not in self._memo:
+            seen = set(self._vertices[:1])
+            stack = list(seen)
+            while stack:
+                for w in self._adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            self._memo["connected"] = len(seen) == len(self._vertices)
+        return self._memo["connected"]
 
     # -- structural equality (name and labels excluded) -------------------
 
@@ -144,16 +144,27 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """The subgraph induced on vertex set ``s``."""
+    """The subgraph induced on vertex set ``s``.
+
+    A subgraph of a simple graph is simple, so the checks of
+    ``Graph.__init__`` cannot fire here: the adjacency is cut straight out
+    of ``g``'s.  This is the one place that builds a graph without them."""
     ss = frozenset(s)
+    adj, labels = g._adj, g.labels
     for v in ss:
-        if v not in g:
+        if v not in adj:
             raise UnknownVertexError(f"unknown vertex {v}")
-    edges = [(u, v) for u in ss for v in g.neighbors(u) if u < v and v in ss]
-    labels = None
-    if g.labels:
-        labels = {v: g.labels[v] for v in ss if v in g.labels}
-    return Graph(ss, edges, name=g.name, labels=labels)
+    h = Graph.__new__(Graph)
+    h._vertices = tuple(sorted(ss))
+    h._adj = {v: adj[v] & ss for v in h._vertices}
+    h._edge_count = sum(map(len, h._adj.values())) // 2
+    h.name = g.name
+    h.labels = None
+    if labels:
+        h.labels = {v: labels[v] for v in h._vertices if v in labels} or None
+    h._hash = None
+    h._memo = {}
+    return h
 
 
 def closed_neighbourhood(g: Graph, s: Iterable[int]) -> frozenset[int]:

@@ -47,44 +47,32 @@ def classify_vertex(g: Graph, v: int) -> VertexClass:
     nbrs = g.neighbors(v)
     if not nbrs:
         return VertexClass(INVALID)
-    h = induced_subgraph(g, nbrs)
-    degs = {w: h.degree(w) for w in nbrs}
-    if not h.is_connected():
-        return VertexClass(INVALID)
-    if all(d == 2 for d in degs.values()):
-        if len(nbrs) < 4:
-            return VertexClass(INVALID)
-        return VertexClass(INNER, _cycle_order(h))
-    ends = [w for w, d in degs.items() if d <= 1]
+    link = induced_subgraph(g, nbrs)._adj
     if len(nbrs) == 1:
-        return VertexClass(BOUNDARY, (next(iter(nbrs)),))
-    if len(ends) == 2 and all(d in (1, 2) for d in degs.values()):
-        return VertexClass(BOUNDARY, _path_order(h, min(ends)))
-    return VertexClass(INVALID)
+        return VertexClass(BOUNDARY, tuple(nbrs))
+    ends = [w for w, ws in link.items() if len(ws) != 2]
+    if len(ends) not in (0, 2) or any(len(link[w]) != 1 for w in ends):
+        return VertexClass(INVALID)
+    # with every degree 1 or 2 the link is one cycle (no ends) or one path
+    # (two ends) exactly when the walk from its least end or vertex covers it
+    order = _walk(link, min(ends or nbrs))
+    if len(order) != len(nbrs) or (not ends and len(order) < 4):
+        return VertexClass(INVALID)
+    return VertexClass(BOUNDARY if ends else INNER, order)
 
 
-def _cycle_order(h: Graph) -> tuple[int, ...]:
-    start = min(h.vertices)
-    nxt = min(h.neighbors(start))
-    order = [start, nxt]
-    while True:
-        prev, cur = order[-2], order[-1]
-        (step,) = [w for w in h.neighbors(cur) if w != prev]
-        if step == start:
-            return tuple(order)
-        order.append(step)
-
-
-def _path_order(h: Graph, start: int) -> tuple[int, ...]:
+def _walk(link: dict[int, frozenset[int]], start: int) -> tuple[int, ...]:
+    """Walk a link of maximum degree 2 from ``start`` toward its smaller
+    neighbour, until the walk closes or reaches an end."""
     order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in h.neighbors(cur) if w != prev]
-        if not nxt:
-            return tuple(order)
-        prev, cur = cur, nxt[0]
+    prev, cur = start, min(link[start])
+    while cur != start:
         order.append(cur)
+        if len(link[cur]) == 1:
+            break
+        a, b = link[cur]
+        prev, cur = cur, b if a == prev else a
+    return tuple(order)
 
 
 def facet_edges(f: tuple[int, int, int]) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
@@ -140,8 +128,13 @@ def validate_surface(g: Graph) -> SurfaceReport:
     classes = {v: classify_vertex(g, v) for v in g.vertices}
     boundary_vertices = {v for v, c in classes.items() if c.kind == BOUNDARY}
     invalid = tuple(v for v, c in classes.items() if c.kind == INVALID)
+    # an inner endpoint's link is a cycle through the other end, so such an
+    # edge has exactly two common neighbours
     boundary_edges = [
-        (u, v) for u, v in g.edges() if len(g.neighbors(u) & g.neighbors(v)) < 2
+        (u, v)
+        for u, v in g.edges()
+        if not (classes[u].is_inner or classes[v].is_inner)
+        and len(g.neighbors(u) & g.neighbors(v)) < 2
     ]
     # on a valid surface every boundary edge joins boundary vertices; keep
     # stray endpoints of malformed inputs so the report stays constructible

@@ -5,23 +5,34 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from cliquedyn import surface
 from cliquedyn.geometric import GeoBuilder
 from cliquedyn.hexgrid import gen_hex_patch
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_entry_point_resolves(tracer):
@@ -41,3 +52,33 @@ def test_level_graph_counter_reads_a_built_level_graph(tracer):
         "geometric.level_edges": gg.graph.edge_count,
     }
     assert len(gg) > 0 and gg.graph.edge_count > 0
+
+
+def test_every_required_span_is_traced(tracer):
+    """A workload whose required span no entry point emits could only fail
+    as an incorrect traced run.  Span namers take the call's args and
+    kwargs; the only one names find_standard_charts by its side length m."""
+    emitted = set()
+    for _module, _path, span, _hook in tracer.ENTRY_POINTS:
+        if isinstance(span, str):
+            emitted.add(span)
+        else:
+            emitted.update(span((), {"m": m}) for m in range(1, 10))
+    for workload in _load("workloads").WORKLOADS.values():
+        missing = set(workload.required_spans) - emitted
+        assert not missing, f"{workload.name}: {sorted(missing)}"
+
+
+def test_classify_vertex_reads_its_link_through_induced_subgraph(monkeypatch, t44):
+    """``graph.induced_subgraph`` is a required ``cover-decide`` span; every
+    call there comes from classifying a vertex."""
+    calls = []
+    real = surface.induced_subgraph
+
+    def counted(g, s):
+        calls.append(s)
+        return real(g, s)
+
+    monkeypatch.setattr(surface, "induced_subgraph", counted)
+    assert surface.classify_vertex(t44, 0).is_inner
+    assert len(calls) >= 1 and calls[0] == t44.neighbors(0)

@@ -244,6 +244,21 @@ def test_cover_build_and_validate_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
+def test_cover_validate_rejects_a_ball_with_no_inner_vertex(tmp_path, capsys):
+    """The radius-0 ball is one lift: nothing can be checked, so it is an
+    input error rather than a valid covering."""
+    torus = tmp_path / "t.json"
+    ball = tmp_path / "ball.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    code, _, _ = run(
+        capsys, "cover", "build", str(torus), "--radius", "0", "--base", "0", "--out", str(ball)
+    )
+    assert code == 0
+    code, out, err = run(capsys, "cover", "validate", str(ball), "--target", str(torus))
+    message = f"error: ball file {ball}: source graph has no inner vertex to check\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def test_cover_validate_detects_folding(tmp_path, capsys):
     octa = tmp_path / "o.json"
     run(capsys, "generate", "octahedron", "--out", str(octa))

@@ -19,7 +19,7 @@ from cliquedyn.covers import (
 from cliquedyn.cli import main
 from cliquedyn.generators import hex_torus, icosahedron, octahedron
 from cliquedyn.graph import Graph, induced_subgraph
-from cliquedyn.hexgrid import gen_hex_patch
+from cliquedyn.hexgrid import UNIT_STEPS, gen_hex_patch
 from cliquedyn.io import graph_to_json
 from cliquedyn.isomorphism import is_isomorphic
 from cliquedyn.surface import validate_surface
@@ -127,6 +127,49 @@ def test_validate_covering_map_flags_folding(octa):
     report = validate_covering_map(fold, octa, octa)
     assert report.is_homomorphism and not report.ok
     assert any("edge lifting" in v for v in report.violations)
+
+
+def test_validate_covering_map_rejects_a_source_with_no_inner_vertex(t44):
+    ball = universal_cover_ball(t44, base=0, r=0)
+    k3 = complete_graph(3)
+    cases = [(ball.projection, ball.graph, t44), ({v: v for v in k3.vertices}, k3, k3)]
+    for p, source, target in cases:
+        with pytest.raises(CoverError, match="^source graph has no inner vertex to check$"):
+            validate_covering_map(p, source, target)
+
+
+def _hex_quotient_3x3() -> Graph:
+    """The hexagonal grid modulo 3 in both lattice directions: 6-regular, but
+    each neighbourhood has chords, so it is not locally cyclic."""
+    edges = {
+        tuple(sorted(((a % 3) * 3 + b % 3, ((a + d[0]) % 3) * 3 + (b + d[1]) % 3)))
+        for a in range(3)
+        for b in range(3)
+        for d in UNIT_STEPS
+    }
+    return Graph(range(9), edges)
+
+
+def test_validate_covering_map_names_every_triangle_lifting_failure():
+    """Reducing the radius-2 patch mod 3 maps every neighbourhood onto its
+    image's bijectively, but opposite neighbours land on adjacent vertices.
+    The list was recorded with the pairwise check over all neighbour pairs."""
+    patch = gen_hex_patch(2)
+    proj = {v: (c[0] % 3) * 3 + c[1] % 3 for v, c in patch.coord_of.items()}
+    report = validate_covering_map(proj, patch.graph, _hex_quotient_3x3())
+    assert report.is_homomorphism and report.checked_vertices == 7
+    pairs = {
+        4: "(0,9) (1,8) (3,5)",
+        5: "(1,10) (2,9) (4,6)",
+        8: "(3,13) (4,12) (7,9)",
+        9: "(4,14) (5,13) (8,10)",
+        10: "(5,15) (6,14) (9,11)",
+        13: "(8,17) (9,16) (12,14)",
+        14: "(9,18) (10,17) (13,15)",
+    }
+    assert report.violations == [
+        f"triangle lifting fails at {v} on {pair}" for v, ps in pairs.items() for pair in ps.split()
+    ]
 
 
 def test_decide_finite_verdicts(octa, icosa, t44, genus2):

@@ -12,7 +12,7 @@ from cliquedyn.graph import (
     induced_subgraph,
 )
 from cliquedyn.hexgrid import gen_delta, gen_hex_patch
-from cliquedyn.surface import boundary_distance, facets
+from cliquedyn.surface import SurfaceError, boundary_distance, facets, validate_surface
 from helpers import complete_graph, cycle_graph
 
 
@@ -62,6 +62,58 @@ def test_induced_subgraph_hex_basis_triple_is_triangle():
 def test_induced_subgraph_unknown_vertex(octa):
     with pytest.raises(UnknownVertexError):
         induced_subgraph(octa, [99])
+
+
+def _regular_induced(g: Graph, s) -> Graph:
+    ss = set(s)
+    edges = [(u, v) for u, v in g.edges() if u in ss and v in ss]
+    labels = {v: g.labels[v] for v in ss if v in g.labels} if g.labels else None
+    return Graph(ss, edges, g.name, labels)
+
+
+@given(small_graphs(), st.data())
+def test_induced_subgraph_equals_a_regular_build(g, data):
+    g = Graph(g.vertices, g.edges(), "g", {v: (v, -v) for v in g.vertices[::2]})
+    s = data.draw(st.lists(st.sampled_from(g.vertices), max_size=g.n))
+    h, ref = induced_subgraph(g, s), _regular_induced(g, s)
+    assert h == ref and hash(h) == hash(ref)
+    assert (h.vertices, h.edge_count, h.name, h.labels) == (
+        ref.vertices, ref.edge_count, ref.name, ref.labels
+    )
+    assert sorted(h.edges()) == sorted(ref.edges())
+
+
+def test_induced_subgraph_keeps_labels_and_memo_apart():
+    patch = gen_hex_patch(3)
+    g = patch.graph
+    validate_surface(g)
+    hood = closed_neighbourhood(g, [patch.id_of[(0, 0, 0)]])
+    h = induced_subgraph(g, hood)
+    assert h == _regular_induced(g, hood) and h.labels == {v: g.labels[v] for v in hood}
+    assert h._memo == {} and h._memo is not g._memo
+    before = dict(g._memo)
+    assert validate_surface(h) is not before["surface"]
+    assert g._memo == before and set(h._memo) == {"connected", "surface"}
+    assert induced_subgraph(complete_graph(3), [0, 1]).labels is None
+    unlabelled = induced_subgraph(Graph(range(3), [(0, 1)], labels={2: "x"}), [0, 1])
+    assert unlabelled.labels is None and unlabelled == Graph([0, 1], [(0, 1)])
+    with pytest.raises(UnknownVertexError):
+        induced_subgraph(g, [*hood, 10_000])
+
+
+def test_connectivity_is_computed_once_per_graph():
+    """``decide_finite`` gates on connectivity and ``validate_surface``
+    checks it again; both read the graph's one memoised answer."""
+    g = gen_hex_patch(2).graph
+    assert "connected" not in g._memo
+    assert g.is_connected() and g._memo["connected"] is True
+    g._memo["connected"] = False  # a stale answer shows that it is read back
+    assert not g.is_connected()
+    with pytest.raises(SurfaceError, match="disconnected input"):
+        validate_surface(g)
+    split = Graph(range(4), [(0, 1), (2, 3)])
+    assert not split.is_connected() and split._memo["connected"] is False
+    assert Graph([]).is_connected()
 
 
 def test_closed_neighbourhood_interior_hex_vertex():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquedyn.graph import Graph, closed_neighbourhood, induced_subgraph
 from cliquedyn.hexgrid import add, delta_coords, gen_delta, gen_hex_patch
@@ -22,7 +24,7 @@ from cliquedyn.surface import (
     umbrella,
     validate_surface,
 )
-from helpers import complete_graph, cycle_graph
+from helpers import complete_graph, cycle_graph, to_networkx
 
 
 def wheel(k: int) -> Graph:
@@ -280,3 +282,113 @@ def test_neighbourhood_ring_of_triangle_is_cycle():
         sub = induced_subgraph(patch.graph, ring)
         assert sub.n == 3 * (m + 2)
         assert sub.is_connected() and all(sub.degree(v) == 2 for v in sub.vertices)
+
+
+# -- differential checks against networkx -------------------------------------
+
+
+def reference_class(g: Graph, v: int) -> tuple[str, tuple[int, ...]]:
+    """``classify_vertex``'s kind and order, read off ``nx.subgraph`` on N(v)."""
+    nbrs = sorted(g.neighbors(v))
+    link = nx.subgraph(to_networkx(g), nbrs)
+    if not nbrs or not nx.is_connected(link) or max(d for _, d in link.degree()) > 2:
+        return INVALID, ()
+    if len(nbrs) == 1:
+        return BOUNDARY, tuple(nbrs)
+    ends = sorted(w for w, d in link.degree() if d == 1)
+    if ends:
+        return BOUNDARY, tuple(nx.shortest_path(link, ends[0], ends[1]))
+    if len(nbrs) < 4:
+        return INVALID, ()
+    cycle = [a for a, _ in nx.find_cycle(link, nbrs[0])]
+    if cycle[1] != min(link[nbrs[0]]):
+        cycle = cycle[:1] + cycle[:0:-1]
+    return INNER, tuple(cycle)
+
+
+def assert_classes_match_reference(g: Graph) -> None:
+    for v in g.vertices:
+        cls = classify_vertex(g, v)
+        assert (cls.kind, cls.order) == reference_class(g, v), v
+
+
+def cone(link_edges: list[tuple[int, int]], k: int) -> Graph:
+    """Apex 0 joined to link vertices 1..k, which carry ``link_edges``."""
+    return Graph(range(k + 1), [(0, i) for i in range(1, k + 1)] + link_edges)
+
+
+HOSTILE_LINKS = {
+    "two disjoint cycles": cone([(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7), (7, 8), (8, 5)], 8),
+    "cycle plus path": cone([(1, 2), (2, 3), (3, 4), (4, 1), (5, 6), (6, 7)], 7),
+    "path plus isolated vertex": cone([(1, 2), (2, 3)], 4),
+    "triangle": cone([(1, 2), (2, 3), (3, 1)], 3),
+    "single neighbour": cone([], 1),
+    "degree-3 link vertex": cone([(1, 2), (2, 3), (3, 4), (4, 1), (1, 5)], 5),
+    "empty neighbourhood": Graph([0, 1, 2], [(1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_LINKS))
+def test_classify_vertex_matches_networkx_on_hostile_links(name):
+    g = HOSTILE_LINKS[name]
+    expected = BOUNDARY if name == "single neighbour" else INVALID
+    assert classify_vertex(g, 0).kind == expected
+    assert_classes_match_reference(g)
+
+
+@st.composite
+def perturbed_cones(draw):
+    """A cone over a cycle or path on up to 9 link vertices, with a few link
+    edges toggled, so that valid and barely invalid links both occur."""
+    k = draw(st.integers(min_value=1, max_value=9))
+    closed = draw(st.booleans())
+    edges = {(i, i + 1) for i in range(1, k)} | ({(1, k)} if closed and k > 2 else set())
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    if pairs:
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=3)):
+            edges ^= {pair}
+    edges |= {(0, i) for i in range(1, k + 1)}
+    ids = draw(st.permutations(range(k + 1)))
+    return Graph(range(k + 1), [(ids[a], ids[b]) for a, b in sorted(edges)])
+
+
+@given(perturbed_cones())
+@settings(max_examples=150, deadline=None)
+def test_classify_vertex_matches_networkx_on_random_cones(g):
+    assert_classes_match_reference(g)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_classify_vertex_matches_networkx_on_random_graphs(data):
+    n = data.draw(st.integers(min_value=2, max_value=9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    g = Graph(range(n), data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    assert_classes_match_reference(g)
+
+
+def brute_force_boundary(g: Graph) -> Graph:
+    """Boundary vertices plus every edge with fewer than two common
+    neighbours, tested on all edges, with the edges' endpoints."""
+    edges = [(u, v) for u, v in g.edges() if len(g.neighbors(u) & g.neighbors(v)) < 2]
+    vertices = {v for v in g.vertices if classify_vertex(g, v).kind == BOUNDARY}
+    return Graph(vertices | {x for e in edges for x in e}, edges)
+
+
+def test_boundary_matches_the_all_edges_rule(genus2):
+    cut = genus2.vertices[0]
+    star_cut = induced_subgraph(genus2, set(genus2.vertices) - {cut})
+    malformed = [
+        complete_graph(4),
+        cycle_graph(6),
+        Graph(range(5), [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),  # bowtie
+        HOSTILE_LINKS["two disjoint cycles"],
+        HOSTILE_LINKS["degree-3 link vertex"],
+    ]
+    graphs = [gen_hex_patch(r).graph for r in (1, 2, 5)] + [gen_delta(4).graph, star_cut]
+    graphs += malformed
+    for g in graphs:
+        assert validate_surface(g).boundary == brute_force_boundary(g)
+    rim = validate_surface(star_cut).boundary
+    assert rim.vertex_set == genus2.neighbors(cut) and rim.edge_count == genus2.degree(cut)
+    assert all(validate_surface(g).invalid_vertices for g in malformed)
