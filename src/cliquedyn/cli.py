@@ -144,10 +144,10 @@ def cmd_iterate(args) -> int:
 def cmd_geometric(args) -> int:
     g = gio.load_graph(args.file)
     if args.action == "build":
-        gg = GeoBuilder(g).build(args.n, margin=args.margin)
+        gg = GeoBuilder(g).build(args.n, margin=args.margin or 0)
         _emit(json.dumps(gg.to_dict(), sort_keys=True) + "\n", args.out)
         return EXIT_OK
-    report = verify_geometric_equivalence(g, args.n, margin=args.margin or None)
+    report = verify_geometric_equivalence(g, args.n, margin=args.margin)
     print(json.dumps(report.to_dict(), sort_keys=True))
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("build", "verify"))
     p.add_argument("file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--margin", type=int, default=0)
+    p.add_argument("--margin", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_geometric)
 

@@ -5,9 +5,10 @@ functions, so values can be shared freely.  Data derived from a graph's
 structure alone is memoised on the graph itself, since it can never go
 stale: connectivity, the surface report, boundary distances, chart lists
 and the canonical order.
-Vertex ids are opaque integers; generator metadata (for example lattice
-coordinates) travels in the optional ``labels`` mapping, which every
-structural operation ignores.
+Vertex ids are opaque integers; an id of any other type (``bool``,
+``float`` and ``str`` included) is rejected, not converted.  Generator
+metadata (for example lattice coordinates) travels in the optional
+``labels`` mapping, which every structural operation ignores.
 """
 
 from __future__ import annotations
@@ -35,11 +36,16 @@ class Graph:
         name: str = "",
         labels: Mapping[int, object] | None = None,
     ):
-        vs = sorted(set(int(v) for v in vertices))
+        vs = list(vertices)
+        for v in vs:
+            if type(v) is not int:
+                raise GraphError(f"vertex id {v!r} is not an integer")
+        vs = sorted(set(vs))
         adj: dict[int, set[int]] = {v: set() for v in vs}
         m = 0
         for u, v in edges:
-            u, v = int(u), int(v)
+            if type(u) is not int or type(v) is not int:
+                raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer id")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:

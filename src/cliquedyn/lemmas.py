@@ -17,7 +17,14 @@ from .generators import hex_torus
 from .geometric import verify_geometric_equivalence
 from .graph import GraphError
 from .isomorphism import find_isomorphism
-from .surface import disc_discharge_check, facet_edges, facets, maximal_straight_paths
+from .surface import (
+    disc_discharge_check,
+    edge_facets,
+    facet_edges,
+    facets,
+    link_walk,
+    maximal_straight_paths,
+)
 
 
 @dataclass
@@ -198,17 +205,8 @@ def random_disc_walk(
     """A simple closed walk bounding a random facet-connected disc kept away
     from the patch rim."""
     g = patch.graph
-    interior = patch.interior_ids()
-    deep = [
-        v
-        for v in interior
-        if all(w in interior for w in g.neighbors(v))
-    ]
-    all_facets = [f for f in facets(g) if all(v in deep for v in f)]
-    edge_facets: dict[frozenset[int], list[int]] = {}
-    for i, f in enumerate(all_facets):
-        for e in facet_edges(f):
-            edge_facets.setdefault(e, []).append(i)
+    all_facets = [f for f in facets(g) if charts_mod.min_boundary_distance(g, f) >= 2]
+    incidence = edge_facets(all_facets)
 
     while True:
         region = {rng.randrange(len(all_facets))}
@@ -217,38 +215,30 @@ def random_disc_walk(
             frontier = set()
             for fi in region:
                 for e in facet_edges(all_facets[fi]):
-                    frontier.update(edge_facets.get(e, ()))
+                    frontier.update(incidence[e])
             frontier -= region
             if not frontier:
                 break
             region.add(rng.choice(sorted(frontier)))
-        walk = _rim_walk(all_facets, region)
+        walk = _rim_walk([all_facets[fi] for fi in region])
         if walk is not None:
             return walk
 
 
-def _rim_walk(all_facets, region) -> tuple[int, ...] | None:
-    edge_count: dict[frozenset[int], int] = {}
-    for fi in region:
-        for e in facet_edges(all_facets[fi]):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    rim = [tuple(sorted(e)) for e, c in edge_count.items() if c == 1]
+def _rim_walk(region_facets) -> tuple[int, ...] | None:
     nbr: dict[int, list[int]] = {}
-    for u, v in rim:
-        nbr.setdefault(u, []).append(v)
-        nbr.setdefault(v, []).append(u)
+    for e, held in edge_facets(region_facets).items():
+        if len(held) == 1:
+            u, v = e
+            nbr.setdefault(u, []).append(v)
+            nbr.setdefault(v, []).append(u)
     if any(len(ws) != 2 for ws in nbr.values()):
         return None
-    start = min(nbr)
-    walk = [start, min(nbr[start])]
-    while walk[-1] != start:
-        a, b = nbr[walk[-1]]
-        walk.append(b if a == walk[-2] else a)
-        if len(walk) > 3 * len(rim):
-            return None
-    if len(walk) - 1 != len(rim):
-        return None  # rim split into several cycles
-    return tuple(walk)
+    # a 2-regular rim is one cycle exactly when the walk covers it
+    cycle = link_walk(nbr, min(nbr))
+    if len(cycle) != len(nbr):
+        return None
+    return cycle + cycle[:1]
 
 
 def discharge_suite(radius: int = 8, count: int = 100, seed: int = 2024) -> SuiteResult:

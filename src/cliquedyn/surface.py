@@ -9,8 +9,9 @@ up to reversal.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .graph import Graph, GraphError, UnknownVertexError, induced_subgraph
 
@@ -27,8 +28,7 @@ class DiscError(SurfaceError):
     """The supplied walk does not bound a combinatorial disc."""
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     kind: str
     order: tuple[int, ...] = ()
 
@@ -55,15 +55,16 @@ def classify_vertex(g: Graph, v: int) -> VertexClass:
         return VertexClass(INVALID)
     # with every degree 1 or 2 the link is one cycle (no ends) or one path
     # (two ends) exactly when the walk from its least end or vertex covers it
-    order = _walk(link, min(ends or nbrs))
+    order = link_walk(link, min(ends or nbrs))
     if len(order) != len(nbrs) or (not ends and len(order) < 4):
         return VertexClass(INVALID)
     return VertexClass(BOUNDARY if ends else INNER, order)
 
 
-def _walk(link: dict[int, frozenset[int]], start: int) -> tuple[int, ...]:
-    """Walk a link of maximum degree 2 from ``start`` toward its smaller
-    neighbour, until the walk closes or reaches an end."""
+def link_walk(link: Mapping[int, Collection[int]], start: int) -> tuple[int, ...]:
+    """Walk a graph of maximum degree 2, given as an adjacency mapping, from
+    ``start`` toward its smaller neighbour, until the walk closes or reaches
+    an end."""
     order = [start]
     prev, cur = start, min(link[start])
     while cur != start:
@@ -79,6 +80,16 @@ def facet_edges(f: tuple[int, int, int]) -> tuple[frozenset[int], frozenset[int]
     """The three edges of the facet ``f``, as vertex pairs."""
     a, b, c = f
     return (frozenset((a, b)), frozenset((a, c)), frozenset((b, c)))
+
+
+def edge_facets(fs: Sequence[tuple[int, int, int]]) -> dict[frozenset[int], list[int]]:
+    """Each edge of the facets ``fs``, mapped to the indices of the facets
+    that hold it."""
+    held: dict[frozenset[int], list[int]] = {}
+    for i, f in enumerate(fs):
+        for e in facet_edges(f):
+            held.setdefault(e, []).append(i)
+    return held
 
 
 def facets(g: Graph) -> list[tuple[int, int, int]]:
@@ -204,20 +215,15 @@ def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:
     if prev == nxt:
         raise SurfaceError("walk backtracks immediately; path degree undefined")
     cls = classify_vertex(g, cur)
-    if cls.kind == INNER:
-        cycle = cls.order
-        length = len(cycle)
-        a, b = cycle.index(prev), cycle.index(nxt)
-        l1 = (b - a) % length
-        return frozenset({l1, length - l1})
-    if cls.kind == BOUNDARY:
-        path = cls.order
-        try:
-            a, b = path.index(prev), path.index(nxt)
-        except ValueError as exc:
-            raise SurfaceError("walk neighbours missing from neighbourhood path") from exc
-        return frozenset({abs(b - a)})
-    raise SurfaceError(f"vertex {cur} has no cyclic or path neighbourhood")
+    if cls.kind == INVALID:
+        raise SurfaceError(f"vertex {cur} has no cyclic or path neighbourhood")
+    # a valid link orders every neighbour, the walk's two among them
+    order = cls.order
+    a, b = order.index(prev), order.index(nxt)
+    if cls.is_inner:
+        l1 = (b - a) % len(order)
+        return frozenset({l1, len(order) - l1})
+    return frozenset({abs(b - a)})
 
 
 def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
@@ -233,29 +239,19 @@ def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
 def _straight_steps(
     g: Graph, classes: dict[int, VertexClass]
 ) -> dict[tuple[int, int], tuple[int, ...]]:
-    """successors[(u, v)] = vertices w such that u,v,w is a straight bend."""
+    """successors[(u, v)] = vertices w such that u,v,w is a straight bend:
+    the link positions three away from u's, wrapping round a cycle and
+    dropped past the ends of a path.  Pairs (u, v) with v invalid are
+    absent."""
     succ: dict[tuple[int, int], tuple[int, ...]] = {}
     for v in g.vertices:
         cls = classes[v]
-        if cls.kind == INVALID:
-            for u in g.neighbors(v):
-                succ[(u, v)] = ()
-            continue
-        order = cls.order
-        n = len(order)
-        pos = {w: i for i, w in enumerate(order)}
-        for u in g.neighbors(v):
-            outs = []
-            i = pos[u]
-            if cls.kind == INNER:
-                for j, w in enumerate(order):
-                    d = (j - i) % n
-                    if w != u and 3 in (d, n - d):
-                        outs.append(w)
+        order, n = cls.order, len(cls.order)
+        for i, u in enumerate(order):
+            if cls.is_inner:
+                outs = {order[(i - 3) % n], order[(i + 3) % n]}
             else:
-                for j, w in enumerate(order):
-                    if w != u and abs(j - i) == 3:
-                        outs.append(w)
+                outs = {order[j] for j in (i - 3, i + 3) if 0 <= j < n}
             succ[(u, v)] = tuple(sorted(outs))
     return succ
 
@@ -307,7 +303,7 @@ def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
             continue
         cycle = [pair[0], pair[1]]
         while True:
-            outs = succ[(cycle[-2], cycle[-1])]
+            outs = succ.get((cycle[-2], cycle[-1]), ())
             if not outs:
                 break
             cycle.append(outs[0])
@@ -372,70 +368,45 @@ def disc_discharge_check(g: Graph, walk: tuple[int, ...]) -> int:
     walk_edges = {frozenset(e) for e in zip(walk, walk[1:])}
 
     all_facets = facets(g)
-    edge_to_facets: dict[frozenset[int], list[int]] = {}
-    for fi, f in enumerate(all_facets):
-        for e in facet_edges(f):
-            edge_to_facets.setdefault(e, []).append(fi)
-    for e in walk_edges:
-        if e not in edge_to_facets:
-            raise DiscError("walk uses an edge without facets")
+    incidence = edge_facets(all_facets)
+    if not walk_edges <= incidence.keys():
+        raise DiscError("walk uses an edge without facets")
 
-    # facet components after cutting along the walk
-    comp = [-1] * len(all_facets)
-    c = 0
-    for start in range(len(all_facets)):
-        if comp[start] != -1:
-            continue
-        comp[start] = c
-        stack = [start]
-        while stack:
-            fi = stack.pop()
-            for e in facet_edges(all_facets[fi]):
-                if e in walk_edges:
-                    continue
-                for fj in edge_to_facets[e]:
-                    if comp[fj] == -1:
-                        comp[fj] = c
-                        stack.append(fj)
-        c += 1
+    # facet components after cutting along the walk: join the facets of
+    # every uncut edge; a component with an uncut edge of a single facet
+    # touches the patch rim
+    root = list(range(len(all_facets)))
 
-    # components touching the patch rim (an uncut edge with a single facet)
-    outside = set()
-    for e, fs in edge_to_facets.items():
-        if len(fs) == 1 and e not in walk_edges:
-            outside.add(comp[fs[0]])
-    inside = [fi for fi in range(len(all_facets)) if comp[fi] not in outside]
+    def find(fi: int) -> int:
+        while root[fi] != fi:
+            root[fi] = root[root[fi]]
+            fi = root[fi]
+        return fi
+
+    uncut = [held for e, held in incidence.items() if e not in walk_edges]
+    for held in uncut:
+        for fj in held[1:]:
+            root[find(fj)] = find(held[0])
+    outside = {find(held[0]) for held in uncut if len(held) == 1}
+    inside = [fi for fi in range(len(all_facets)) if find(fi) not in outside]
     if not inside:
         raise DiscError("walk does not enclose any facet")
-    if len({comp[fi] for fi in inside}) != 1:
+    if len({find(fi) for fi in inside}) != 1:
         raise DiscError("enclosed region is not a single disc")
 
-    in_vertices: set[int] = set()
-    in_edges: set[frozenset[int]] = set()
-    for fi in inside:
-        f = all_facets[fi]
-        in_vertices.update(f)
-        in_edges.update(facet_edges(f))
-    if len(in_vertices) - len(in_edges) + len(inside) != 1:
+    enclosed = [all_facets[fi] for fi in inside]
+    in_incidence = edge_facets(enclosed)
+    held_by = Counter(v for f in enclosed for v in f)
+    if len(held_by) - len(in_incidence) + len(enclosed) != 1:
         raise DiscError("enclosed region is not a disc (Euler characteristic)")
-    rim = {
-        e
-        for e in in_edges
-        if sum(1 for fj in edge_to_facets[e] if comp[fj] not in outside) == 1
-    }
+    rim = {e for e, held in in_incidence.items() if len(held) == 1}
     if rim != walk_edges:
         raise DiscError("walk does not match the rim of the enclosed region")
 
-    walk_set = set(body)
-    inner = in_vertices - walk_set
-    classes = {v: classify_vertex(g, v) for v in inner}
-    if any(cls.kind != INNER for cls in classes.values()):
+    classes = validate_surface(g).classes
+    inner = held_by.keys() - set(body)
+    if not all(classes[v].is_inner for v in inner):
         raise DiscError("disc interior touches the patch boundary")
     inner_sum = sum(6 - g.degree(v) for v in inner)
-
-    beta_sum = 0
-    facet_sets = [frozenset(all_facets[fi]) for fi in inside]
-    for v in body:
-        beta = sum(1 for f in facet_sets if v in f)
-        beta_sum += 3 - beta
+    beta_sum = sum(3 - held_by[v] for v in body)
     return 6 - inner_sum - beta_sum

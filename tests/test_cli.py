@@ -389,6 +389,10 @@ def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
         (["verify-lemmas", "all", "lhg"], "suite 'all' cannot be combined with other suites"),
         (["verify-lemmas", "lhg", "lhg"], "suite 'lhg' is named twice"),
         (["verify-lemmas", "cover", "--radius", "0"], "cover needs radius at least 1, got 0"),
+        (
+            ["geometric", "verify", "TORUS", "--n", "1", "--margin", "0"],
+            "margin 0 is below the safe bound 4",
+        ),
     ],
 )
 def test_out_of_range_parameters_exit_2(tmp_path, capsys, argv, message):

@@ -36,6 +36,23 @@ def test_graph_rejects_self_loops_and_unknown_endpoints():
         Graph([0, 1], [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([0, 1.5], [(0, 1.5)], "vertex id 1.5 is not an integer"),
+        (["0", "1"], [("0", 1)], "vertex id '0' is not an integer"),
+        ([True, 2], [(True, 2)], "vertex id True is not an integer"),
+        ([0, 1], [(0, 1.0)], "edge (0,1.0) has an endpoint that is not an integer id"),
+        ([1, 2], [(True, 2)], "edge (True,2) has an endpoint that is not an integer id"),
+    ],
+)
+def test_graph_rejects_ids_that_are_not_ints(vertices, edges, message):
+    # 1.0 and True hash like 1, so a membership test alone would accept them
+    with pytest.raises(GraphError) as info:
+        Graph(vertices, edges)
+    assert str(info.value) == message
+
+
 def test_duplicate_edges_collapse():
     g = Graph([0, 1], [(0, 1), (1, 0)])
     assert g.edge_count == 1

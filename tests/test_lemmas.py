@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from cliquedyn import lemmas
 from cliquedyn.graph import GraphError
+from cliquedyn.hexgrid import gen_hex_patch
 from cliquedyn.lemmas import (
     SUITES,
     chart_extension_suite,
@@ -12,9 +16,11 @@ from cliquedyn.lemmas import (
     equivalence_suite,
     inclusion_suite,
     lhg_suite,
+    random_disc_walk,
     run_suites,
     straight_paths_suite,
 )
+from cliquedyn.surface import disc_discharge_check
 
 
 def test_straight_paths_suite():
@@ -52,6 +58,17 @@ def test_cover_suite():
 def test_discharge_suite_seeded():
     res = discharge_suite(radius=7, count=20, seed=11)
     assert res.ok and res.detail["seed"] == 11
+
+
+@pytest.mark.parametrize(
+    "seed, digest", [(0, "e977fb415d2f07dc"), (1, "d9e264c33d76a5e3"), (2, "72549239e37f9a32")]
+)
+def test_random_disc_walks_are_pinned(seed, digest):
+    patch = gen_hex_patch(8)
+    rng = random.Random(seed)
+    walks = [random_disc_walk(patch, rng) for _ in range(20)]
+    assert all(disc_discharge_check(patch.graph, w) == 0 for w in walks)
+    assert hashlib.sha256(repr(walks).encode()).hexdigest()[:16] == digest
 
 
 def test_run_suites_rejects_unknown():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import networkx as nx
 import pytest
@@ -24,7 +25,13 @@ from cliquedyn.surface import (
     umbrella,
     validate_surface,
 )
-from helpers import complete_graph, cycle_graph, to_networkx
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    degree_seven_surface,
+    genus2_surface,
+    to_networkx,
+)
 
 
 def wheel(k: int) -> Graph:
@@ -198,6 +205,17 @@ def test_maximal_straight_paths_torus_wraps(t44):
 
 def test_maximal_straight_paths_triangle_free():
     assert maximal_straight_paths(cycle_graph(6), 1) == []
+
+
+@pytest.mark.parametrize(
+    "surface, count, digest",
+    [(genus2_surface, 17, "ecef6580967ac61e"), (degree_seven_surface, 1, "39e46071b4775568")],
+)
+def test_maximal_straight_paths_are_pinned_on_branching_surfaces(surface, count, digest):
+    # degree-7 vertices have two straight successors, so the walks branch
+    walks = maximal_straight_paths(surface(), 3)
+    assert len(walks) == count
+    assert hashlib.sha256(repr(walks).encode()).hexdigest()[:16] == digest
 
 
 def test_umbrella_sizes(icosa, genus2):
