@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 
 from .charts import Chart, find_standard_charts, min_boundary_distance
 from .cliques import intersection_edges, max_cliques
-from .graph import Graph, GraphError, closed_neighbourhood, common_neighbourhood
+from .graph import (
+    Graph,
+    GraphError,
+    closed_neighbourhood,
+    common_neighbourhood,
+    induced_subgraph,
+)
 from .hexgrid import BASIS, classify_triangle_coords
 from .surface import SurfaceReport, facets, validate_surface
 
@@ -268,8 +274,14 @@ def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     deep-interior surjectivity certificates.
 
     Surjectivity is checked against brute-force maximal clique enumeration
-    of gg_n, restricted to cliques all of whose members sit at least
-    ``gg_next.margin`` away from the host boundary."""
+    of gg_n, restricted to the deep cliques: those all of whose members
+    sit at least ``gg_next.margin`` away from the host boundary.  The
+    search runs only on G[N[deep]], the level graph induced on the closed
+    neighbourhood of the deep vertices.  A vertex adjacent to every member
+    of a non-empty clique inside ``deep`` is adjacent to a deep vertex, so
+    it lies in N[deep]; so such a clique is maximal in G exactly when it
+    is maximal in G[N[deep]], and both searches list the same deep cliques
+    in the same sorted order."""
     if gg_next.host is not gg_n.host and gg_next.host != gg_n.host:
         raise GeoError("level graphs must share a host")
     if gg_next.n != gg_n.n + 1:
@@ -293,7 +305,8 @@ def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     }
     deep = 0
     missing = []
-    for clique in max_cliques(gg_n.graph):
+    region = induced_subgraph(gg_n.graph, closed_neighbourhood(gg_n.graph, deep_ids))
+    for clique in max_cliques(region):
         if clique <= deep_ids:
             deep += 1
             if clique not in seen:

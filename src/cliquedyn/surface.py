@@ -259,7 +259,15 @@ def _straight_steps(
 def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
     """All maximal straight walks of length >= min_len, deduplicated up to
     reversal.  Closed straight lines are returned with the start vertex
-    repeated at the end.  Raises SurfaceError on a disconnected graph."""
+    repeated at the end.
+
+    Walks from a free end are followed down every branch.  A pair that no
+    such walk reaches lies on closed straight lines, which are followed
+    only while each step has one straight successor: at a pair with two
+    (an inner vertex of degree 7, say), or on a walk that never returns to
+    its start pair, the closed lines branch, and this raises SurfaceError
+    naming the pair rather than return some of them.  Also raises
+    SurfaceError on a disconnected graph."""
     succ = _straight_steps(g, validate_surface(g).classes)
     has_pred = set()
     for (u, v), outs in succ.items():
@@ -267,6 +275,7 @@ def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
             has_pred.add((v, w))
 
     results: dict[tuple[int, ...], tuple[int, ...]] = {}
+    covered: set[tuple[int, int]] = set()
 
     def emit(walk: list[int]) -> None:
         if len(walk) - 1 < max(min_len, 1):
@@ -282,22 +291,21 @@ def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
             return
         for w in live:
             seen_pairs.add((walk[-1], w))
+            covered.add((walk[-1], w))
             walk.append(w)
             extend(walk, seen_pairs)
             walk.pop()
             seen_pairs.discard((walk[-1], w))
 
-    covered: set[tuple[int, int]] = set()
     for pair in sorted(succ):
         if pair in has_pred or not succ[pair]:
             continue
         extend([pair[0], pair[1]], {pair})
         covered.add(pair)
 
-    # Pairs never reached from a free end lie on closed straight lines.
-    for walk in results.values():
-        covered.update(zip(walk, walk[1:]))
-        covered.update(zip(walk[::-1], walk[::-1][1:]))
+    # Pairs that no walk from a free end passes, in either direction, lie
+    # on closed straight lines.
+    covered.update([(b, a) for a, b in covered])
     for pair in sorted(succ):
         if pair in covered or not succ[pair]:
             continue
@@ -306,6 +314,11 @@ def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
             outs = succ.get((cycle[-2], cycle[-1]), ())
             if not outs:
                 break
+            if len(outs) > 1:
+                raise SurfaceError(
+                    f"closed straight walk from {pair} branches at "
+                    f"({cycle[-2]},{cycle[-1]}); branching closed walks are not enumerated"
+                )
             cycle.append(outs[0])
             if (cycle[-2], cycle[-1]) == pair:
                 closed = cycle[:-1]
@@ -313,8 +326,11 @@ def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
                 covered.update(zip(closed, closed[1:]))
                 covered.update(zip(closed[::-1], closed[::-1][1:]))
                 break
-            if len(cycle) > 4 * g.n:
-                break
+            if len(cycle) > 4 * g.n:  # merged into a cycle through another pair
+                raise SurfaceError(
+                    f"closed straight walk from {pair} does not return to it; "
+                    "branching closed walks are not enumerated"
+                )
     return sorted(results.values())
 
 

@@ -7,8 +7,10 @@ from itertools import permutations
 
 import networkx as nx
 
-from cliquedyn.graph import Graph
+from cliquedyn.cliques import DEFAULT_NODE_BUDGET
 from cliquedyn.generators import hex_torus
+from cliquedyn.graph import Graph
+from cliquedyn.isomorphism import BudgetError
 from cliquedyn.surface import classify_vertex
 
 
@@ -42,6 +44,44 @@ def reference_refine(adj: list[list[int]], colors: list[int]) -> list[int]:
         if new == colors:
             return new
         colors = new
+
+
+def reference_max_cliques(
+    g: Graph,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    clique_cap: int | None = None,
+) -> list[frozenset[int]]:
+    """All maximal cliques, duplicate-free, sorted by their member lists:
+    the set-based Bron-Kerbosch search that the bit-mask search of
+    ``cliques.max_cliques`` replaced, kept as its reference.
+
+    ``clique_cap`` bounds the number of cliques collected, so enumerations
+    whose output alone would exhaust memory fail fast with a budget signal.
+    """
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    out: list[frozenset[int]] = []
+    spent = 0
+
+    def expand(r: list[int], p: set[int], x: set[int]) -> None:
+        nonlocal spent
+        spent += 1
+        if spent > node_budget:
+            raise BudgetError(f"clique search exceeded {node_budget} nodes")
+        if not p and not x:
+            out.append(frozenset(r))
+            if clique_cap is not None and len(out) > clique_cap:
+                raise BudgetError(f"more than {clique_cap} maximal cliques")
+            return
+        pivot = max(p | x, key=lambda u: (len(p & adj[u]), -u))
+        for v in sorted(p - adj[pivot]):
+            expand(r + [v], p & adj[v], x & adj[v])
+            p.discard(v)
+            x.add(v)
+
+    if g.n:  # k of the empty graph is empty: report no clique, not the empty set
+        expand([], set(g.vertices), set())
+    out.sort(key=sorted)
+    return out
 
 
 def genus2_surface() -> Graph:

@@ -61,6 +61,14 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
         ('{"vertices":[0,1],"edges":[[0]]}', "edges[0]"),
         ('{"vertices":[0],"edges":[],"labels":{"a":1}}', "labels key 'a'"),
         ('{"vertices":[0],"edges":[],"labels":[1]}', "labels = [1]"),
+        ('{"vertices":[0,1],"edges":[[0,1,2]]}', "edges[0] = [0, 1, 2]"),
+        ('{"vertices":[0,1],"edges":[null]}', "edges[0] = None"),
+        # a bad vertex is named before a bad edge, a bad edge before bad
+        # labels, and bad labels before a self-loop or an unknown vertex
+        ('{"vertices":[0,"a"],"edges":[[0]]}', "vertices[1]"),
+        ('{"vertices":[0,1],"edges":[[0,1],[0]],"labels":{"a":1}}', "edges[1] = [0]"),
+        ('{"vertices":[0],"edges":[[0,0]],"labels":{"a":1}}', "labels key 'a'"),
+        ('{"vertices":[0],"edges":[[0,5]],"labels":[1]}', "labels = [1]"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, field):

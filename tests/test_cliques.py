@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquedyn import cliques
 from cliquedyn.cliques import (
+    FRAME_BITS,
     BudgetError,
     clique_graph,
     intersection_edges,
@@ -14,7 +18,15 @@ from cliquedyn.cliques import (
 from cliquedyn.graph import Graph, GraphError
 from cliquedyn.hexgrid import gen_hex_patch
 from cliquedyn.isomorphism import is_isomorphic
-from helpers import complete_graph, cycle_graph, degree_seven_surface, to_networkx
+from cliquedyn.generators import hex_torus
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    degree_seven_surface,
+    genus2_surface,
+    reference_max_cliques,
+    to_networkx,
+)
 
 
 def test_k4_single_clique():
@@ -187,3 +199,98 @@ def random_graphs(draw):
 @given(random_graphs())
 def test_max_cliques_matches_networkx_on_random_graphs(g):
     _assert_cliques_match_networkx(g)
+
+
+# -- the bit-mask search against the set-based reference ----------------------
+
+
+def _outcome(search, g: Graph, node_budget: int, clique_cap: int | None = None):
+    """The clique list, or which budget stopped the search."""
+    try:
+        return search(g, node_budget=node_budget, clique_cap=clique_cap)
+    except BudgetError as exc:
+        return "cap" if "maximal cliques" in str(exc) else "nodes"
+
+
+def _least_node_budget(g: Graph, clique_cap: int | None = None) -> int:
+    """The least node budget under which ``max_cliques`` is not stopped by
+    the node budget: its node count, or the node where ``clique_cap`` trips."""
+    def enough(b):
+        return _outcome(max_cliques, g, b, clique_cap) != "nodes"
+
+    lo, hi = -1, 1  # invariant: lo is too small; -1 lies below every budget asked
+    while not enough(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if enough(mid) else (mid, hi)
+    return hi
+
+
+def _assert_matches_reference(g: Graph, cap_fraction: float = 0.5) -> None:
+    """Same cliques, same node count and the same trip point of
+    ``clique_cap``: at the least budget that lets the bit-mask search pass
+    a point, the reference passes it too, and one node less stops both."""
+    cliques = reference_max_cliques(g)
+    count = _least_node_budget(g)
+    for search in (max_cliques, reference_max_cliques):
+        assert _outcome(search, g, count) == cliques
+        assert _outcome(search, g, count, len(cliques)) == cliques
+        if count:
+            assert _outcome(search, g, count - 1) == "nodes"
+    if cliques:
+        cap = int(cap_fraction * (len(cliques) - 1))
+        trip = _least_node_budget(g, cap)
+        for search in (max_cliques, reference_max_cliques):
+            assert _outcome(search, g, trip, cap) == "cap"
+            assert _outcome(search, g, trip - 1, cap) == "nodes"
+
+
+@st.composite
+def sparse_id_graphs(draw):
+    """Up to 40 vertices with ids that need not be contiguous or positive,
+    at a drawn edge density, complete and empty graphs included."""
+    ids = draw(st.lists(st.integers(-50, 10**6), max_size=40, unique=True))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    return Graph(ids, [p for p in pairs if rnd.random() < density])
+
+
+# frame widths from one closed neighbourhood per frame to one frame for all
+FRAMES = [0, 1, 5, FRAME_BITS]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_id_graphs(), st.floats(0, 1), st.sampled_from(FRAMES))
+def test_max_cliques_matches_reference_on_random_graphs(g, cap_fraction, frame_bits):
+    with patch.object(cliques, "FRAME_BITS", frame_bits):
+        _assert_matches_reference(g, cap_fraction)
+
+
+@pytest.mark.parametrize("frame_bits", FRAMES)
+def test_max_cliques_matches_reference_on_special_graphs(frame_bits):
+    with patch.object(cliques, "FRAME_BITS", frame_bits):
+        _assert_matches_reference(Graph([], []))
+        _assert_matches_reference(Graph([7, -3, 1000], [(7, -3), (-3, 1000), (7, 1000)]))
+        _assert_matches_reference(complete_graph(12))
+        _assert_matches_reference(Graph(range(9), [(0, i) for i in range(1, 9)]))
+
+
+def _iterates(g: Graph, steps: int) -> list[Graph]:
+    out = [g]
+    for _ in range(steps):
+        out.append(clique_graph(out[-1]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "surface, steps",
+    [(genus2_surface, 4), (degree_seven_surface, 3), (lambda: hex_torus(4, 4), 8)],
+    ids=["genus2", "degree_seven", "torus4x4"],
+)
+def test_max_cliques_matches_reference_on_iterates(surface, steps):
+    for g in _iterates(surface(), steps):
+        _assert_matches_reference(g)
+        with patch.object(cliques, "FRAME_BITS", 20):
+            assert max_cliques(g) == reference_max_cliques(g)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import json
@@ -21,6 +22,7 @@ from cliquedyn.geometric import (
     clique_summary,
     verify_geometric_equivalence,
 )
+from cliquedyn.cliques import max_cliques
 from cliquedyn.graph import closed_neighbourhood
 from cliquedyn.hexgrid import (
     OFFSETS_BY_GAP,
@@ -222,6 +224,44 @@ def test_c_map_certificates(patch9_builder):
     assert result.injective
     assert result.surjective_on_deep
     assert result.deep_clique_count > 0
+
+
+def _assert_c_map_matches_whole_graph_search(gg_n, gg_next):
+    """c_map searches only the closed neighbourhood of the deep vertices;
+    its deep cliques, in order, are those of the whole level graph."""
+    result = c_map(gg_n, gg_next)
+    deep_ids = {
+        i
+        for i, ch in enumerate(gg_n.charts)
+        if min_boundary_distance(gg_n.host, ch.image) >= gg_next.margin
+    }
+    deep = [c for c in max_cliques(gg_n.graph) if c <= deep_ids]
+    hit = set(result.mapping.values())
+    assert result.deep_clique_count == len(deep)
+    assert result.missing_cliques == [c for c in deep if c not in hit]
+    return result
+
+
+@pytest.mark.parametrize("radius, n", [(8, 1), (9, 2), (10, 3), (12, 4)])
+def test_c_map_searches_only_around_the_deep_region(radius, n):
+    builder = GeoBuilder(gen_hex_patch(radius).graph)
+    gg_n, gg_next = builder.build(n, margin=0), builder.build(n + 1, margin=n + 3)
+    result = _assert_c_map_matches_whole_graph_search(gg_n, gg_next)
+    assert result.deep_clique_count > 0 and not result.missing_cliques
+    # Without every third next-level chart, many deep cliques go unhit, and
+    # they are listed in the order of the whole-graph search.
+    pruned = copy.copy(gg_next)
+    pruned.charts = gg_next.charts[::3]
+    result = _assert_c_map_matches_whole_graph_search(gg_n, pruned)
+    assert len(result.missing_cliques) > 1
+
+
+def test_c_map_searches_only_around_the_deep_region_of_a_cover_ball():
+    builder = GeoBuilder(cover_ball(genus2_surface, 9))
+    for n in (1, 2):
+        gg_n, gg_next = builder.build(n, margin=0), builder.build(n + 1, margin=n + 3)
+        result = _assert_c_map_matches_whole_graph_search(gg_n, gg_next)
+        assert result.deep_clique_count > 0 and not result.missing_cliques
 
 
 def test_verify_equivalence_small_radii():

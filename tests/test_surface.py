@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 
 import networkx as nx
 import pytest
@@ -207,15 +206,23 @@ def test_maximal_straight_paths_triangle_free():
     assert maximal_straight_paths(cycle_graph(6), 1) == []
 
 
-@pytest.mark.parametrize(
-    "surface, count, digest",
-    [(genus2_surface, 17, "ecef6580967ac61e"), (degree_seven_surface, 1, "39e46071b4775568")],
-)
-def test_maximal_straight_paths_are_pinned_on_branching_surfaces(surface, count, digest):
-    # degree-7 vertices have two straight successors, so the walks branch
-    walks = maximal_straight_paths(surface(), 3)
-    assert len(walks) == count
-    assert hashlib.sha256(repr(walks).encode()).hexdigest()[:16] == digest
+def test_maximal_straight_paths_on_branching_discs_follow_every_branch(genus2):
+    # Walks from a free end branch at degree-7 vertices; those shorter than
+    # min_len are dropped, but their pairs do not lie on closed lines.
+    for v in genus2.vertices[:4]:
+        disc = induced_subgraph(genus2, closed_neighbourhood(genus2, genus2.neighbors(v)))
+        every = maximal_straight_paths(disc, 1)
+        for min_len in (3, 5):
+            assert maximal_straight_paths(disc, min_len) == [
+                w for w in every if len(w) - 1 >= min_len
+            ]
+
+
+@pytest.mark.parametrize("surface", [genus2_surface, degree_seven_surface])
+def test_maximal_straight_paths_refuse_branching_closed_lines(surface):
+    # degree-7 vertices have two straight successors, so the closed lines branch
+    with pytest.raises(SurfaceError, match="branching closed walks are not enumerated"):
+        maximal_straight_paths(surface(), 3)
 
 
 def test_umbrella_sizes(icosa, genus2):
