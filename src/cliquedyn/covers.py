@@ -7,14 +7,14 @@ slots of the base neighbourhood cycle; two lifts are identified only when
 a fan closes onto an existing slot, never because they happen to project
 to the same base vertex.  That realises the simply connected development.
 
-The development grows in rounds.  At each round start every lift's
-distance is its BFS distance from the base lift in the current
-development: a new lift gets one more than the nearer end of the edge it
-was glued across, and after the round a relaxation from the round's new
-edges lowers whatever they shortened.  A round glues a facet across every
-open edge (an edge in one facet) whose nearer end lies at distance < r,
-in (distance of the nearer end, lo, hi) order, so the fans of the lifts
-inside the radius close and no lift is born beyond it.
+The development grows in rounds.  A round glues a facet across every open
+edge (an edge in one facet) whose nearer end lies at distance < r, in
+(distance of the nearer end, lo, hi) order, so the fans of the lifts inside
+the radius close and no lift is born beyond it.  A lift's distance is fixed
+at birth, one more than the nearer end of the edge it is glued across, so
+following parents gives a path of that length; ``set_slot`` checks that
+every edge joins lifts at most one layer apart, so no path is shorter.  The
+distance is thus the development's graph distance.
 
 Those fans hold the whole radius-r ball because inputs must have minimum
 degree 6.  Every link is then a cycle of length >= 6, so the cover is
@@ -24,12 +24,15 @@ of a simplex in S_r span a non-empty simplex: every edge between two lifts
 at distance r lies in a facet whose third lift is at distance r - 1.
 Below degree 6 that fails; on the n = 4 antiprism-capped sphere a ring
 vertex's radius-2 ball has such an edge whose facets both lie in S_2.
+On degree >= 6 the lemma also puts no facet inside one sphere S_d (its
+vertices and their projection would span a K4, which no link cycle holds),
+so a facet glued across an edge of S_d leads one layer in or out.  That the
+gluing order never skips a layer is checked, not proven.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 
 from .charts import find_standard_charts
 from .graph import Graph, GraphError, induced_subgraph
@@ -74,29 +77,29 @@ class _Unfolding:
         self.g = g
         self.base: list[int] = []  # lift -> base vertex
         self.arc: list[dict[int, int]] = []  # lift -> base neighbour -> lift
-        self.adj: list[set[int]] = []
         self.dist: list[int] = []
         # an edge in one facet, as (lo, hi) -> the third lift of that facet.
         # No edge gets a third facet: a base edge has two facet thirds, and
         # set_slot refuses a second lift in a slot, so add_facet can toggle.
         self.open: dict[tuple[int, int], int] = {}
         self.thirds: dict[tuple[int, int], list[int]] = {}  # base edge -> its facet thirds
-        self.added: list[tuple[int, int]] = []  # edges added since the last relax()
 
     def new_lift(self, base_v: int, dist: int) -> int:
         self.base.append(base_v)
         self.arc.append({})
-        self.adj.append(set())
         self.dist.append(dist)
         return len(self.base) - 1
 
     def set_slot(self, lift: int, nbr_base: int, nbr_lift: int) -> None:
         cur = self.arc[lift].get(nbr_base)
         if cur is None:
+            d, e = self.dist[lift], self.dist[nbr_lift]
+            if abs(d - e) > 1:
+                raise AssertionError(
+                    f"unfolding joined lift {lift} at distance {d} "
+                    f"to lift {nbr_lift} at distance {e}"
+                )
             self.arc[lift][nbr_base] = nbr_lift
-            self.adj[lift].add(nbr_lift)
-            self.adj[nbr_lift].add(lift)
-            self.added.append((lift, nbr_lift))
         elif cur != nbr_lift:
             raise CoverError("fan closure conflict; input is not a valid surface")
 
@@ -105,32 +108,6 @@ class _Unfolding:
             e = (x, y) if x < y else (y, x)
             if self.open.pop(e, None) is None:
                 self.open[e] = third
-
-    def relax(self) -> None:
-        """Lower distances across the edges added since the last call.
-
-        Before the additions every distance was exact and each new lift got
-        one more than its parent edge's nearer end, a real path; so a
-        Dijkstra pass seeded from the new edges leaves every distance exact."""
-        dist, adj = self.dist, self.adj
-        heap = []
-        for u, w in self.added:
-            if dist[u] + 1 < dist[w]:
-                dist[w] = dist[u] + 1
-                heap.append((dist[w], w))
-            elif dist[w] + 1 < dist[u]:
-                dist[u] = dist[w] + 1
-                heap.append((dist[u], u))
-        self.added.clear()
-        heapify(heap)
-        while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            for w in adj[u]:
-                if d + 1 < dist[w]:
-                    dist[w] = d + 1
-                    heappush(heap, (d + 1, w))
 
     def glue(self, la: int, lb: int) -> None:
         """Attach the missing facet across the lifted edge ``la < lb``."""
@@ -183,7 +160,6 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
 
     dist = unf.dist
     while True:
-        unf.relax()
         todo = sorted(
             (d, lo, hi) for lo, hi in unf.open if (d := min(dist[lo], dist[hi])) < r
         )
@@ -197,7 +173,7 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
     projection = dict(enumerate(unf.base[:n]))
     ball = Graph(
         range(n),
-        [(i, j) for i in range(n) for j in unf.adj[i] if i < j < n],
+        [(i, j) for i in range(n) for j in set(unf.arc[i].values()) if i < j < n],
         name=f"cover_ball_{g.name or 'g'}_r{r}",
         labels=projection,
     )

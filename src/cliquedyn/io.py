@@ -48,7 +48,10 @@ def graph_from_dict(obj: dict) -> Graph:
         if not isinstance(labels, dict):
             raise GraphError(f"malformed graph object: labels = {labels!r} is not an object")
         labels = {_label_key(k): _freeze_label(v) for k, v in labels.items()}
-    return Graph(vertices, edges, name=obj.get("name", ""), labels=labels)
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise GraphError(f"malformed graph object: name = {name!r} is not a string")
+    return Graph(vertices, edges, name=name, labels=labels)
 
 
 def _label_key(key: str) -> int:

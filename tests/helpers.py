@@ -1,17 +1,18 @@
 """Shared test helpers: small oracles kept independent of the library paths
-they check, and the surgery that produced the genus-2 fixture."""
+they check, and the star-cut antiprism surgery behind the surface fixtures."""
 
 from __future__ import annotations
 
+import random
 from itertools import permutations
 
 import networkx as nx
 
 from cliquedyn.cliques import DEFAULT_NODE_BUDGET
 from cliquedyn.generators import hex_torus
-from cliquedyn.graph import Graph
+from cliquedyn.graph import Graph, closed_neighbourhood
 from cliquedyn.isomorphism import BudgetError
-from cliquedyn.surface import classify_vertex
+from cliquedyn.surface import classify_vertex, validate_surface
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -84,54 +85,71 @@ def reference_max_cliques(
     return out
 
 
-def genus2_surface() -> Graph:
-    """Genus-2, minimum degree 6, not 6-regular: cut two vertex stars out of
-    a 10x10 torus and bridge the rims with an antiprism band.
+def star_cut_antiprism(torus: Graph, pairs: list[tuple[int, int]], name: str) -> Graph:
+    """Cut the vertex stars of both centres of every pair out of ``torus``
+    and bridge their rim hexagons by an antiprism band, adding a handle.
 
-    The rim vertices end with degree 7; everything else keeps degree 6.
-    The result is validated locally cyclic by its tests."""
-    t = hex_torus(10, 10)
-    v1, v2 = 0, 55
-    rim1 = classify_vertex(t, v1).order
-    rim2 = classify_vertex(t, v2).order
-    keep = [v for v in t.vertices if v not in (v1, v2)]
-    edges = [(a, b) for a, b in t.edges() if v1 not in (a, b) and v2 not in (a, b)]
-    for i in range(6):
-        edges.append((rim1[i], rim2[i]))
-        edges.append((rim1[(i + 1) % 6], rim2[i]))
-    return Graph(keep, edges, name="genus2_delta6")
+    The rim vertices end with degree 7; everything else keeps its degree.
+    Whether the result is locally cyclic is for the caller to check."""
+    centres = {c for pair in pairs for c in pair}
+    keep = [v for v in torus.vertices if v not in centres]
+    edges = [(a, b) for a, b in torus.edges() if a not in centres and b not in centres]
+    for c1, c2 in pairs:
+        r1, r2 = classify_vertex(torus, c1).order, classify_vertex(torus, c2).order
+        for i in range(6):
+            edges.append((r1[i], r2[i]))
+            edges.append((r1[(i + 1) % 6], r2[i]))
+    return Graph(keep, edges, name=name)
+
+
+def genus2_surface() -> Graph:
+    """Genus-2, minimum degree 6, not 6-regular: one star-cut antiprism
+    pair on a 10x10 torus.  The result is validated locally cyclic by its
+    tests."""
+    return star_cut_antiprism(hex_torus(10, 10), [(0, 55)], "genus2_delta6")
 
 
 def degree_seven_surface() -> Graph:
-    """A 7-regular locally cyclic surface: the star-cut plus antiprism
-    surgery applied at every centre of a perfect 1-code on the 7x14 torus,
-    code centres paired across the long direction.
+    """A 7-regular locally cyclic surface: the star-cut antiprism surgery at
+    every centre of a perfect 1-code on the 7x14 torus, code centres paired
+    across the long direction.
 
     Every surviving vertex is the rim of exactly one surgery, so all
     degrees are 7; the result has 84 vertices and Euler characteristic -14.
     """
-    t = hex_torus(7, 14)
-    centers = [(a, b) for a in range(7) for b in range(14) if (a - 2 * b) % 7 == 0]
+    centres = [a * 14 + b for a in range(7) for b in range(7) if (a - 2 * b) % 7 == 0]
+    return star_cut_antiprism(
+        hex_torus(7, 14), [(c, c + 7) for c in centres], "septic_surface"
+    )
 
-    def vid(ab):
-        return ab[0] * 14 + ab[1]
 
-    center_ids = {vid(c) for c in centers}
-    rims = {vid(c): classify_vertex(t, vid(c)).order for c in centers}
-    keep = [v for v in t.vertices if v not in center_ids]
-    edges = [(x, y) for x, y in t.edges() if x not in center_ids and y not in center_ids]
-    done = set()
-    for c in centers:
-        if c in done:
+def random_surgery_surface(seed: int) -> Graph:
+    """A seeded random surface with minimum degree 6: the star-cut antiprism
+    surgery at 1-3 centre pairs of a random p x q torus (9 <= p, q <= 14),
+    every centre more than 3 from the others.  Draws that are not locally
+    cyclic with minimum degree 6 are redrawn.  The rims have degree 7, so no
+    result is 6-regular."""
+    rng = random.Random(seed)
+    while True:
+        torus = hex_torus(rng.randint(9, 14), rng.randint(9, 14))
+        k = rng.randint(1, 3)
+        centres: list[int] = []
+        near: frozenset[int] = frozenset()
+        for v in rng.sample(torus.vertices, torus.n):
+            if len(centres) == 2 * k:
+                break
+            if v not in near:
+                centres.append(v)
+                ball = frozenset([v])
+                for _ in range(3):
+                    ball = closed_neighbourhood(torus, ball)
+                near |= ball
+        if len(centres) < 2 * k:
             continue
-        partner = (c[0], (c[1] + 7) % 14)
-        done.add(c)
-        done.add(partner)
-        r1, r2 = rims[vid(c)], rims[vid(partner)]
-        for i in range(6):
-            edges.append((r1[i], r2[i]))
-            edges.append((r1[(i + 1) % 6], r2[i]))
-    return Graph(keep, edges, name="septic_surface")
+        g = star_cut_antiprism(torus, list(zip(centres[::2], centres[1::2])), f"surgery_{seed}")
+        report = validate_surface(g)
+        if report.is_locally_cyclic and report.min_degree >= 6:
+            return g
 
 
 def capped_antiprism(n: int) -> Graph:

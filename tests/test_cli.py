@@ -69,6 +69,9 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
         ('{"vertices":[0,1],"edges":[[0,1],[0]],"labels":{"a":1}}', "edges[1] = [0]"),
         ('{"vertices":[0],"edges":[[0,0]],"labels":{"a":1}}', "labels key 'a'"),
         ('{"vertices":[0],"edges":[[0,5]],"labels":[1]}', "labels = [1]"),
+        ('{"vertices":[0,1,2],"edges":[[0,1],[1,2]],"name":5}', "name = 5 is not a string"),
+        # bad labels are named before a bad name
+        ('{"vertices":[0],"edges":[],"labels":[1],"name":5}', "labels = [1]"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, field):

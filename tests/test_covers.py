@@ -3,10 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter, deque
+from functools import partial
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cliquedyn.covers import (
     CoverError,
@@ -29,6 +29,7 @@ from helpers import (
     cycle_graph,
     degree_seven_surface,
     genus2_surface,
+    random_surgery_surface,
     to_networkx,
 )
 
@@ -229,10 +230,18 @@ def test_embedding_bound_reports_observation_only(genus2):
     assert delta_embedding_bound(ball, 5) == 6
 
 
+GENERATED_SEEDS = (0, 1, 2, 3, 4)
+
+
+def _first_rim(g: Graph) -> int:
+    return min(v for v in g.vertices if g.degree(v) == 7)
+
+
 SURFACES = {
     "genus2": (genus2_surface, lambda g: g.vertices[0]),
     "septic": (degree_seven_surface, lambda g: g.vertices[0]),
     "t44": (lambda: hex_torus(4, 4), lambda g: 0),
+    **{f"surgery{s}": (partial(random_surgery_surface, s), _first_rim) for s in GENERATED_SEEDS},
 }
 
 
@@ -312,27 +321,27 @@ def test_nested_balls_agree_layer_by_layer(name, r):
     )
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_relax_restores_exact_distances(data):
-    """Grow a development in batches the way a round does: a new lift is
-    born one step beyond an existing lift, and new edges may shortcut old
-    ones.  After each relax() every distance is the BFS distance.
+@pytest.mark.parametrize("seed", GENERATED_SEEDS)
+def test_generated_surfaces_converge_and_layer(seed):
+    """A generated surface keeps its degree-7 rims, so it is not 6-regular
+    and converges; its cover balls, based at a rim lift, pass the
+    nested-ball check above."""
+    assert decide_finite(random_surgery_surface(seed)).kind == "convergent"
+    test_nested_balls_agree_layer_by_layer(f"surgery{seed}", 6)
 
-    On the fixture surfaces no round's edges ever lower a distance, so the
-    relaxation is exercised here on arbitrary shortcuts."""
+
+def test_set_slot_refuses_an_edge_that_skips_a_layer():
+    """A lift's distance is fixed at birth, so an edge joining lifts two
+    layers apart would leave a distance above the graph distance.  That is
+    a fault of the unfolding, not of the input: AssertionError, not
+    CoverError."""
     unf = _Unfolding(Graph([0]))
-    unf.new_lift(0, 0)
-    for _ in range(data.draw(st.integers(1, 5))):
-        for _ in range(data.draw(st.integers(0, 6))):
-            parent = data.draw(st.integers(0, len(unf.base) - 1))
-            lift = unf.new_lift(len(unf.base), unf.dist[parent] + 1)
-            unf.set_slot(lift, unf.base[parent], parent)
-        for _ in range(data.draw(st.integers(0, 4))):
-            u = data.draw(st.integers(0, len(unf.base) - 1))
-            w = data.draw(st.integers(0, len(unf.base) - 1))
-            if u != w and w not in unf.adj[u]:
-                unf.set_slot(u, unf.base[w], w)
-        unf.relax()
-        dist = _bfs_distances(unf.adj.__getitem__, 0)
-        assert unf.dist == [dist[x] for x in range(len(unf.base))]
+    for d in range(3):
+        unf.new_lift(d, d)
+    unf.set_slot(0, 1, 1)
+    unf.set_slot(1, 2, 2)
+    with pytest.raises(
+        AssertionError, match="^unfolding joined lift 0 at distance 0 to lift 2 at distance 2$"
+    ):
+        unf.set_slot(0, 2, 2)
+    assert unf.arc[0] == {1: 1}

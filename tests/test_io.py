@@ -45,6 +45,7 @@ def test_malformed_json_raises():
         ('{"vertices": [0, 1], "edges": [[0, 1.5]]}', "edges[0]"),
         ('{"vertices": [0], "edges": [], "labels": {"a": 1}}', "labels key 'a'"),
         ('{"vertices": [0], "edges": [], "labels": [1]}', "labels = [1]"),
+        ('{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "name": 5}', "name = 5 is not a string"),
     ],
 )
 def test_malformed_entries_are_named(text, field):
