@@ -242,5 +242,8 @@ def iterate_k(
             graphs.append(nxt)
             current = nxt
     except BudgetError as exc:
-        return IterationTrace(steps, "budget_exceeded", detail=str(exc), graphs=graphs)
+        # steps holds the iterates already labeled, so this names the one
+        # being built or labeled when the budget ran out
+        detail = f"iterate {len(steps)}: {exc}"
+        return IterationTrace(steps, "budget_exceeded", detail=detail, graphs=graphs)
     return IterationTrace(steps, "diverging_evidence", graphs=graphs)

@@ -195,7 +195,10 @@ class _CanonSearch:
     def _charge(self) -> None:
         self.spent += len(self.adj) + 1
         if self.spent > self.budget:
-            raise BudgetError("canonical labeling budget exceeded")
+            raise BudgetError(
+                f"canonical labeling exceeded its budget of {self.budget} "
+                f"on a {len(self.adj)}-vertex graph"
+            )
 
     def _descend(self, part: _Partition, fixed: tuple[int, ...]) -> None:
         target = part.first_nonsingleton()

@@ -236,116 +236,65 @@ def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
     )
 
 
-def _straight_steps(
-    g: Graph, classes: dict[int, VertexClass]
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """successors[(u, v)] = vertices w such that u,v,w is a straight bend:
-    the link positions three away from u's, wrapping round a cycle and
-    dropped past the ends of a path.  Pairs (u, v) with v invalid are
-    absent."""
-    succ: dict[tuple[int, int], tuple[int, ...]] = {}
-    for v in g.vertices:
-        cls = classes[v]
+def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
+    """All maximal straight walks of length >= min_len, deduplicated up to
+    reversal.  Closed straight lines are returned with the start vertex
+    repeated at the end.
+
+    A bend u, v, w is straight when w lies three link positions from u
+    around v, wrapping round a cycle and dropped past the ends of a path.
+    Walks are enumerated only where every pair (u, v) has at most one
+    straight successor: every inner vertex has degree 6 and every boundary
+    vertex at most 6 neighbours (positions i - 3 and i + 3 coincide round
+    a cycle of length n only when n divides 6, and both lie on a path only
+    when it has at least 7 vertices).  Otherwise this raises SurfaceError
+    naming the least pair with two successors.  Also raises SurfaceError on
+    a disconnected graph.
+
+    "Three positions apart" is symmetric, so u, v, w is straight exactly
+    when w, v, u is.  The successor map is therefore injective, and (u, v)
+    has a predecessor exactly when (v, u) has a successor; its orbits are
+    paths from a free end and cycles.  Walking the free ends and then the
+    remaining pairs in sorted order, and marking both orientations of each
+    walk done, finds every walk once, from its least start pair."""
+    succ: dict[tuple[int, int], int] = {}
+    branching: dict[tuple[int, int], list[int]] = {}
+    for v, cls in validate_surface(g).classes.items():
         order, n = cls.order, len(cls.order)
         for i, u in enumerate(order):
             if cls.is_inner:
                 outs = {order[(i - 3) % n], order[(i + 3) % n]}
             else:
                 outs = {order[j] for j in (i - 3, i + 3) if 0 <= j < n}
-            succ[(u, v)] = tuple(sorted(outs))
-    return succ
-
-
-def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
-    """All maximal straight walks of length >= min_len, deduplicated up to
-    reversal.  Closed straight lines are returned with the start vertex
-    repeated at the end.
-
-    Walks from a free end are followed down every branch.  A pair that no
-    such walk reaches lies on closed straight lines, which are followed
-    only while each step has one straight successor: at a pair with two
-    (an inner vertex of degree 7, say), or on a walk that never returns to
-    its start pair, the closed lines branch, and this raises SurfaceError
-    naming the pair rather than return some of them.  Also raises
-    SurfaceError on a disconnected graph."""
-    succ = _straight_steps(g, validate_surface(g).classes)
-    has_pred = set()
-    for (u, v), outs in succ.items():
-        for w in outs:
-            has_pred.add((v, w))
-
-    results: dict[tuple[int, ...], tuple[int, ...]] = {}
-    covered: set[tuple[int, int]] = set()
-
-    def emit(walk: list[int]) -> None:
-        if len(walk) - 1 < max(min_len, 1):
-            return
-        key = _walk_key(tuple(walk))
-        results.setdefault(key, tuple(walk))
-
-    def extend(walk: list[int], seen_pairs: set[tuple[int, int]]) -> None:
-        outs = succ.get((walk[-2], walk[-1]), ())
-        live = [w for w in outs if (walk[-1], w) not in seen_pairs]
-        if not live:
-            emit(walk)
-            return
-        for w in live:
-            seen_pairs.add((walk[-1], w))
-            covered.add((walk[-1], w))
-            walk.append(w)
-            extend(walk, seen_pairs)
-            walk.pop()
-            seen_pairs.discard((walk[-1], w))
-
-    for pair in sorted(succ):
-        if pair in has_pred or not succ[pair]:
-            continue
-        extend([pair[0], pair[1]], {pair})
-        covered.add(pair)
-
-    # Pairs that no walk from a free end passes, in either direction, lie
-    # on closed straight lines.
-    covered.update([(b, a) for a, b in covered])
-    for pair in sorted(succ):
-        if pair in covered or not succ[pair]:
-            continue
-        cycle = [pair[0], pair[1]]
-        while True:
-            outs = succ.get((cycle[-2], cycle[-1]), ())
-            if not outs:
-                break
             if len(outs) > 1:
-                raise SurfaceError(
-                    f"closed straight walk from {pair} branches at "
-                    f"({cycle[-2]},{cycle[-1]}); branching closed walks are not enumerated"
-                )
-            cycle.append(outs[0])
-            if (cycle[-2], cycle[-1]) == pair:
-                closed = cycle[:-1]
-                emit(closed)
-                covered.update(zip(closed, closed[1:]))
-                covered.update(zip(closed[::-1], closed[::-1][1:]))
+                branching[(u, v)] = sorted(outs)
+            elif outs:
+                (succ[(u, v)],) = outs
+    if branching:
+        (u, v), (a, b) = min(branching.items())
+        raise SurfaceError(
+            f"straight walks branch: pair ({u},{v}) has successors {a} and {b}; "
+            "branching walks are not enumerated"
+        )
+
+    pairs = sorted(succ)
+    free = [p for p in pairs if p[::-1] not in succ]
+    done: set[tuple[int, int]] = set()
+    walks = []
+    for start in free + pairs:
+        if start in done:
+            continue
+        walk, pair = list(start), start
+        while pair in succ:
+            pair = (pair[1], succ[pair])
+            if pair == start:
                 break
-            if len(cycle) > 4 * g.n:  # merged into a cycle through another pair
-                raise SurfaceError(
-                    f"closed straight walk from {pair} does not return to it; "
-                    "branching closed walks are not enumerated"
-                )
-    return sorted(results.values())
-
-
-def _walk_key(walk: tuple[int, ...]) -> tuple[int, ...]:
-    if walk[0] == walk[-1] and len(walk) > 2:
-        # closed walk: canonical over rotations of both directions
-        body = walk[:-1]
-        best = None
-        for seq in (body, body[::-1]):
-            for i in range(len(seq)):
-                rot = seq[i:] + seq[:i]
-                if best is None or rot < best:
-                    best = rot
-        return best + (best[0],)
-    return min(walk, walk[::-1])
+            walk.append(pair[1])
+        done.update(zip(walk, walk[1:]))
+        done.update(zip(walk[1:], walk))
+        if len(walk) > min_len:
+            walks.append(tuple(walk))
+    return sorted(walks)
 
 
 def umbrella(g: Graph, v: int) -> tuple[tuple[int, int, int], ...]:

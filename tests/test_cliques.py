@@ -122,7 +122,7 @@ def test_iterate_octahedron_growth(octa):
 def test_iterate_octahedron_hits_clique_cap(octa):
     trace = iterate_k(octa, 4, vertex_budget=1000)
     assert trace.verdict == "budget_exceeded"
-    assert "maximal cliques" in trace.detail
+    assert trace.detail.startswith("iterate 4: more than 1000 maximal cliques")
 
 
 def test_converged_verdict_is_budget_stable():

@@ -95,6 +95,13 @@ def test_budget_signal_is_distinct():
         canonical_hash(cycle_graph(40), budget=10)
 
 
+def test_labeling_budget_verdict_names_budget_and_graph_size():
+    with pytest.raises(
+        BudgetError, match="^canonical labeling exceeded its budget of 100 on a 40-vertex graph$"
+    ):
+        canonical_order(cycle_graph(40), budget=100)
+
+
 @st.composite
 def graph_and_permutation(draw):
     n = draw(st.integers(min_value=1, max_value=7))

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood, induced_subgraph
 from cliquedyn.hexgrid import add, delta_coords, gen_delta, gen_hex_patch
 from cliquedyn.surface import (
@@ -206,14 +210,30 @@ def test_maximal_straight_paths_triangle_free():
     assert maximal_straight_paths(cycle_graph(6), 1) == []
 
 
-def test_maximal_straight_paths_on_branching_discs_follow_every_branch(genus2):
-    # Walks from a free end branch at degree-7 vertices; those shorter than
-    # min_len are dropped, but their pairs do not lie on closed lines.
-    for v in genus2.vertices[:4]:
-        disc = induced_subgraph(genus2, closed_neighbourhood(genus2, genus2.neighbors(v)))
-        every = maximal_straight_paths(disc, 1)
+def _link_disc(g: Graph, v: int) -> Graph:
+    return induced_subgraph(g, closed_neighbourhood(g, g.neighbors(v)))
+
+
+def test_maximal_straight_paths_refuse_branching_hosts(genus2, octa, icosa):
+    # an inner vertex of degree 4, 5 or 7 gives some pair two straight
+    # successors, so the walks through it branch
+    seven = degree_seven_surface()
+    two_rings = _link_disc(seven, 1).vertices
+    three_rings = induced_subgraph(seven, closed_neighbourhood(seven, two_rings))
+    assert three_rings.n == 65
+    for g in (_link_disc(genus2, 1), _link_disc(genus2, 2), three_rings, octa, icosa):
+        with pytest.raises(SurfaceError, match="branching walks are not enumerated$"):
+            maximal_straight_paths(g, 1)
+
+
+def test_maximal_straight_paths_min_len_filters_the_full_list(genus2):
+    hosts = [gen_delta(6).graph, gen_hex_patch(4).graph, hex_torus(5, 7)]
+    hosts += [_link_disc(genus2, 3), _link_disc(genus2, 4)]
+    for g in hosts:
+        every = maximal_straight_paths(g, 1)
+        assert every
         for min_len in (3, 5):
-            assert maximal_straight_paths(disc, min_len) == [
+            assert maximal_straight_paths(g, min_len) == [
                 w for w in every if len(w) - 1 >= min_len
             ]
 
@@ -221,8 +241,79 @@ def test_maximal_straight_paths_on_branching_discs_follow_every_branch(genus2):
 @pytest.mark.parametrize("surface", [genus2_surface, degree_seven_surface])
 def test_maximal_straight_paths_refuse_branching_closed_lines(surface):
     # degree-7 vertices have two straight successors, so the closed lines branch
-    with pytest.raises(SurfaceError, match="branching closed walks are not enumerated"):
+    with pytest.raises(SurfaceError, match="branching walks are not enumerated"):
         maximal_straight_paths(surface(), 3)
+
+
+def _shuffled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertex ids permuted at random, so that the least pair
+    of a line need not sit at one of its ends."""
+    ids = list(range(g.n))
+    random.Random(seed).shuffle(ids)
+    new = dict(zip(g.vertices, ids))
+    return Graph(ids, [(new[u], new[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_delta(6).graph,
+        gen_hex_patch(4).graph,
+        _shuffled(gen_hex_patch(4).graph, 1),
+        hex_torus(4, 4),
+        hex_torus(5, 7),
+    ],
+    ids=["delta6", "hex4", "hex4_shuffled", "torus4x4", "torus5x7"],
+)
+def test_maximal_straight_paths_cover_each_straight_bend_once(g):
+    """Oracle through ``is_straight``, which reads path degrees: every
+    straight bend lies on exactly one returned walk, in one orientation."""
+    bends = {
+        (u, v, w)
+        for v in g.vertices
+        for u in g.neighbors(v)
+        for w in g.neighbors(v)
+        if u != w and is_straight(g, (u, v, w))
+    }
+    on_walks: Counter[tuple[int, int, int]] = Counter()
+    for walk in maximal_straight_paths(g, 1):
+        if walk[0] == walk[-1]:
+            walk += walk[1:2]  # the bend where a closed walk wraps round
+        on_walks.update(zip(walk, walk[1:], walk[2:]))
+    assert on_walks.keys() <= bends
+    assert all(on_walks[b] + on_walks[b[::-1]] == 1 for b in bends)
+
+
+def _grown_subgraph(g: Graph, size: int, seed: int) -> Graph:
+    """A connected induced subgraph, grown from the first vertex by adding
+    random neighbours."""
+    rng = random.Random(seed)
+    kept = {g.vertices[0]}
+    while len(kept) < size:
+        kept.add(rng.choice(sorted(closed_neighbourhood(g, kept) - kept)))
+    return induced_subgraph(g, kept)
+
+
+# sha256 of repr(maximal_straight_paths(host, 3)): the list, its order and
+# each walk's orientation, as the branching enumerator returned them
+PINNED_WALKS = {
+    "delta8": "8006b9ec7bcd2094a3aa1c61bdc15f315596d2ad88eb3ff0c428b0a68d5eb4e0",
+    "hex5": "0421808418be6bd41c88dfb3430b3957c8d163a7fbc3a05c7e69c50d3d4a94e5",
+    "torus5x7": "396074f1f5459515ed4caef1d131a3077e603c3ecabb3fdd22369fdd896169de",
+    "torus7x9_grown40": "0870a27d045cbca6e770038fbafcab84ac16590c1550d4975fb7ea828ea95ea2",
+}
+
+
+def test_maximal_straight_paths_order_and_orientation_are_pinned():
+    hosts = {
+        "delta8": gen_delta(8).graph,
+        "hex5": gen_hex_patch(5).graph,
+        "torus5x7": hex_torus(5, 7),
+        "torus7x9_grown40": _grown_subgraph(hex_torus(7, 9), 40, 3),
+    }
+    for name, g in hosts.items():
+        walks = repr(maximal_straight_paths(g, 3)).encode()
+        assert hashlib.sha256(walks).hexdigest() == PINNED_WALKS[name], name
 
 
 def test_umbrella_sizes(icosa, genus2):
