@@ -18,7 +18,6 @@ from .hexgrid import (
     UNIT_STEPS,
     Coord,
     add,
-    are_adjacent,
     delta_coords,
     flipped_delta_coords,
     gen_delta,
@@ -36,7 +35,7 @@ class MarginError(ChartError):
 
 
 class ChartConflictError(ChartError):
-    """Facet-path developments collided; the host is not locally grid-like."""
+    """The host is not grid-like around a chart's image."""
 
 
 class Chart:
@@ -226,104 +225,61 @@ class ExtendedChart:
     def __contains__(self, c: Coord) -> bool:
         return c in self.mapping
 
-    def translate_image(self, d: Coord) -> frozenset[int] | None:
-        coords = [add(c, d) for c in delta_coords(self.base.m)]
-        if any(c not in self.mapping for c in coords):
-            return None
-        return frozenset(self.mapping[c] for c in coords)
+    def translate_image(self, d: Coord) -> frozenset[int]:
+        return frozenset(self.mapping[add(c, d)] for c in delta_coords(self.base.m))
 
     def twisted_image(self) -> frozenset[int] | None:
         if self.base.m != 3:
             return None
-        coords = flipped_delta_coords(3, (2, 2, 2))
-        if any(c not in self.mapping for c in coords):
-            return None
-        return frozenset(self.mapping[c] for c in coords)
-
-
-def _extension_domain(m: int) -> list[Coord]:
-    coords = set(delta_coords(m))
-    for d in UNIT_STEPS:
-        coords.update(add(c, d) for c in delta_coords(m))
-    if m == 3:
-        coords.update(flipped_delta_coords(3, (2, 2, 2)))
-    return sorted(coords)
-
-
-def _lattice_facet_thirds(a: Coord, b: Coord) -> tuple[Coord, Coord]:
-    """The two lattice coordinates completing edge (a, b) to a facet."""
-    thirds = []
-    for d in UNIT_STEPS:
-        c = add(a, d)
-        if are_adjacent(c, b):
-            thirds.append(c)
-    assert len(thirds) == 2
-    return thirds[0], thirds[1]
+        return frozenset(self.mapping[c] for c in flipped_delta_coords(3, (2, 2, 2)))
 
 
 def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
     """Extend a standard chart across the neighbourhood of its image.
 
-    On grid-like neighbourhoods every same-size triangle inside the closed
-    neighbourhood of the image becomes the image of a unit translate of the
-    domain (plus the twisted copy when m = 3).  Elsewhere the extension may
-    miss some of them or realise images that are no triangles, so
-    ``neighbour_triangles`` is the definition of those neighbours.  On
-    hosts with a boundary, the image must keep distance at least 2 from
-    it."""
+    Each rim vertex of the image (at a domain coordinate with a zero entry)
+    has its link cycle read around its coordinate: two consecutive unit
+    steps that land in the chart fix the cycle's rotation and direction.
+    The extension exists exactly when every rim vertex has degree 6 and the
+    map read is injective, else ``ChartConflictError`` is raised (also if
+    two rim vertices read different vertices at one coordinate, which a
+    standard chart rules out).  The domain is the side-(m+3) triangle at
+    offset (-1, -1, -1) minus its corners, the union of the six unit
+    translates of the chart's domain; at m = 3 it holds the twisted copy.
+
+    On grid-like neighbourhoods their images are exactly the same-size
+    triangles in the closed neighbourhood of the image.  Elsewhere they may
+    miss some of them or be no triangles, so ``neighbour_triangles`` is the
+    definition of those neighbours.  On hosts with a boundary, the image
+    must keep distance at least 2 from it."""
     m = chart.m
     if m < 3:
         raise ChartError("chart extension needs side length at least 3")
     report = _require_patch_surface(g)
     if report.boundary.n and min_boundary_distance(g, chart.image) < 2:
         raise MarginError("chart image is within distance 2 of the host boundary")
-
     mapping = dict(chart.mapping)
-    used = set(mapping.values())
-    base_coords = set(chart.mapping)
-    pending = set(_extension_domain(m)) - base_coords
-
-    progress = True
-    while progress:
-        progress = False
-        for c in sorted(pending):
-            candidates: set[int] = set()
-            determined = False
-            for d in UNIT_STEPS:
-                b1 = add(c, d)
-                if b1 not in mapping:
-                    continue
-                for b2 in _lattice_facet_thirds(c, b1):
-                    if b2 <= b1 or b2 not in mapping:
-                        continue
-                    far1, far2 = _lattice_facet_thirds(b1, b2)
-                    far = far1 if far2 == c else far2
-                    if far not in mapping:
-                        continue
-                    determined = True
-                    cand = (
-                        g.neighbors(mapping[b1]) & g.neighbors(mapping[b2])
-                    ) - {mapping[far]}
-                    candidates |= cand
-            if not determined:
-                continue
-            if len(candidates) > 1:
-                raise ChartConflictError(
-                    f"facet-path developments disagree at offset {c}"
-                )
-            if not candidates:
-                pending.discard(c)
-                progress = True
-                continue
-            (x,) = candidates
-            if x in used:
-                raise ChartConflictError(
-                    f"extension is not injective at offset {c} (vertex {x})"
-                )
-            mapping[c] = x
-            used.add(x)
-            pending.discard(c)
-            progress = True
+    for c, p in chart.mapping.items():
+        if min(c):
+            continue
+        cycle = report.classes[p].order
+        if len(cycle) != 6:
+            raise ChartConflictError(
+                f"rim vertex {p} at offset {c} has degree {len(cycle)}, not 6"
+            )
+        # the chart holds two or four of the six steps, consecutively; list
+        # the steps from the first of two such
+        steps = [add(c, d) for d in UNIT_STEPS]
+        i = next(i for i in range(6) if steps[i - 1] in chart and steps[i] in chart)
+        steps = steps[i - 1 :] + steps[: i - 1]
+        j = cycle.index(chart[steps[0]])
+        turn = 1 if cycle[(j + 1) % 6] == chart[steps[1]] else -1
+        for k, s in enumerate(steps):
+            x = cycle[(j + turn * k) % 6]
+            if mapping.setdefault(s, x) != x:
+                raise ChartConflictError(f"rim vertices disagree at offset {s}")
+    if len(set(mapping.values())) != len(mapping):
+        raise ChartConflictError("extension is not injective")
     return ExtendedChart(chart, mapping)
 
 

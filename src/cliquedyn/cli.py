@@ -170,9 +170,11 @@ def cmd_cover(args) -> int:
             raise GraphError(f"ball file {args.file} has no {key!r} object")
     source = gio.graph_from_dict(ball_obj["graph"])
     try:
-        projection = {int(k): v for k, v in ball_obj["projection"].items()}
-    except ValueError:
-        raise GraphError(f"ball file {args.file}: projection keys must be vertex ids") from None
+        projection = {gio.id_key(k): v for k, v in ball_obj["projection"].items()}
+    except ValueError as exc:
+        raise GraphError(
+            f"ball file {args.file}: projection keys must be vertex ids; {exc}"
+        ) from None
     if any(type(v) is not int for v in projection.values()):
         raise GraphError(f"ball file {args.file}: projection values must be vertex ids")
     target = gio.load_graph(args.target)

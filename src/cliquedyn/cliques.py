@@ -231,16 +231,9 @@ def iterate_k(
             seen.setdefault(digest, []).append(n)
             if n == max_steps:
                 break
-            nxt = clique_graph(current, node_budget, clique_cap=vertex_budget)
-            if nxt.n > vertex_budget:
-                return IterationTrace(
-                    steps,
-                    "budget_exceeded",
-                    detail=f"iterate {n + 1} has {nxt.n} vertices (budget {vertex_budget})",
-                    graphs=graphs,
-                )
-            graphs.append(nxt)
-            current = nxt
+            # more than vertex_budget cliques raise BudgetError
+            current = clique_graph(current, node_budget, clique_cap=vertex_budget)
+            graphs.append(current)
     except BudgetError as exc:
         # steps holds the iterates already labeled, so this names the one
         # being built or labeled when the budget ran out

@@ -47,20 +47,27 @@ def graph_from_dict(obj: dict) -> Graph:
     if labels is not None:
         if not isinstance(labels, dict):
             raise GraphError(f"malformed graph object: labels = {labels!r} is not an object")
-        labels = {_label_key(k): _freeze_label(v) for k, v in labels.items()}
+        try:
+            labels = {id_key(k): _freeze_label(v) for k, v in labels.items()}
+        except ValueError as exc:
+            raise GraphError(f"malformed graph object: labels {exc}") from None
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise GraphError(f"malformed graph object: name = {name!r} is not a string")
     return Graph(vertices, edges, name=name, labels=labels)
 
 
-def _label_key(key: str) -> int:
+def id_key(key: str) -> int:
+    """The vertex id a JSON object key spells, raising ValueError unless the
+    key is its canonical decimal ``str(v)``: ``"01"``, ``"1_0"`` and ``" 1 "``
+    are refused, so no two keys name one id."""
     try:
-        return int(key)
+        v = int(key)
     except ValueError:
-        raise GraphError(
-            f"malformed graph object: labels key {key!r} is not an integer id"
-        ) from None
+        v = None
+    if v is None or str(v) != key:
+        raise ValueError(f"key {key!r} is not a canonical integer id")
+    return v
 
 
 def _freeze_label(value):

@@ -211,7 +211,11 @@ def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:
     check_walk(g, walk)
     if not (0 < i < len(walk) - 1):
         raise SurfaceError(f"index {i} is an endpoint of the walk")
-    prev, cur, nxt = walk[i - 1], walk[i], walk[i + 1]
+    return _bend_degree(g, walk[i - 1], walk[i], walk[i + 1])
+
+
+def _bend_degree(g: Graph, prev: int, cur: int, nxt: int) -> frozenset[int]:
+    """``path_degree`` at the bend prev, cur, nxt of a checked walk."""
     if prev == nxt:
         raise SurfaceError("walk backtracks immediately; path degree undefined")
     cls = classify_vertex(g, cur)
@@ -231,9 +235,7 @@ def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
     check_walk(g, walk)
     if len(walk) < 3:
         raise SurfaceError("straightness needs a walk of length at least 2")
-    return all(
-        3 in path_degree(g, walk, i) for i in range(1, len(walk) - 1)
-    )
+    return all(3 in _bend_degree(g, *bend) for bend in zip(walk, walk[1:], walk[2:]))
 
 
 def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:

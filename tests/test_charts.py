@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from cliquedyn.charts import (
@@ -16,14 +19,17 @@ from cliquedyn.charts import (
 from cliquedyn.hexgrid import (
     COORD_PERMUTATIONS,
     UNIT_STEPS,
+    add,
     apply_permutation,
     are_adjacent,
+    delta_coords,
     gen_delta,
     gen_hex_patch,
 )
+from cliquedyn.generators import hex_torus
 from cliquedyn.graph import GraphError, closed_neighbourhood, induced_subgraph
 from cliquedyn.isomorphism import induced_images
-from helpers import degree_seven_surface
+from helpers import degree_seven_surface, genus2_surface, random_surgery_surface
 
 
 def interior_support(g, m, depth):
@@ -171,8 +177,6 @@ def test_neighbour_triangles_live_in_neighbourhood(patch6):
 def test_single_direction_developments_agree(patch8):
     """Developing each neighbour separately matches the joint extension on
     every shared offset."""
-    from cliquedyn.hexgrid import add, delta_coords
-
     g = patch8.graph
     support = interior_support(g, 4, 3)
     chart = chart_of_support(g, support)
@@ -266,3 +270,67 @@ def test_neighbour_triangles_beyond_the_unit_translates(genus2):
         pytest.fail("every side-6 neighbourhood on the genus-2 surface is six translates")
     assert len(found) == 7
     assert found == brute_force_neighbours(g, support, 6)
+
+
+def rim_read(g, chart):
+    """Oracle for ``extend_chart`` on a chart whose rim vertices have degree
+    6: around each rim vertex p, start from the chart's images at two
+    consecutive unit steps and walk p's neighbours, each the common
+    neighbour of p and the last one other than the one before.  Returns the
+    coordinate map, or None when two rim vertices read different vertices
+    at one coordinate."""
+    read = dict(chart.mapping)
+    for c, p in chart.mapping.items():
+        if min(c):
+            continue
+        ring = [add(c, d) for d in UNIT_STEPS]
+        i = next(i for i in range(6) if ring[i] in chart and ring[(i + 1) % 6] in chart)
+        prev, cur = chart[ring[i]], chart[ring[(i + 1) % 6]]
+        for k in range(2, 6):
+            (nxt,) = (g.neighbors(p) & g.neighbors(cur)) - {prev}
+            if read.setdefault(ring[(i + k) % 6], nxt) != nxt:
+                return None
+            prev, cur = cur, nxt
+    return read
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        genus2_surface,
+        *(partial(random_surgery_surface, seed) for seed in range(4)),
+        lambda: hex_torus(6, 7),
+    ],
+    ids=["genus2", "surgery0", "surgery1", "surgery2", "surgery3", "torus6x7"],
+)
+def test_extension_on_curved_hosts(host):
+    """``extend_chart`` raises exactly when a rim vertex has degree other
+    than 6 or the map read from the rim links is not injective; otherwise
+    its domain is the side-(m+3) triangle at offset (-1, -1, -1) minus its
+    corners, and every lattice edge there maps to a host edge.  The 6x7
+    torus is flat, but its side-4 extensions wrap round onto themselves."""
+    g = host()
+    outcomes = Counter()
+    for m in range(3, 7):
+        corners = {(m + 2, -1, -1), (-1, m + 2, -1), (-1, -1, m + 2)}
+        domain = {add(c, (-1, -1, -1)) for c in delta_coords(m + 3)} - corners
+        edges = [(a, b) for a in domain for b in domain if a < b and are_adjacent(a, b)]
+        for chart in find_standard_charts(g, m):
+            rim = [v for c, v in chart.mapping.items() if min(c) == 0]
+            if any(g.degree(v) != 6 for v in rim):
+                with pytest.raises(ChartConflictError, match="has degree"):
+                    extend_chart(g, chart)
+                outcomes["degree"] += 1
+                continue
+            read = rim_read(g, chart)
+            assert read is not None  # an edge lies in two facets, so rims agree
+            if len(set(read.values())) != len(read):
+                with pytest.raises(ChartConflictError, match="not injective"):
+                    extend_chart(g, chart)
+                outcomes["not injective"] += 1
+                continue
+            ext = extend_chart(g, chart)
+            assert ext.mapping == read and set(read) == domain
+            assert all(g.has_edge(ext[a], ext[b]) for a, b in edges)
+            outcomes["extended"] += 1
+    assert outcomes["extended"] and outcomes["degree"] + outcomes["not injective"]

@@ -60,6 +60,9 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
         ('{"vertices":[null],"edges":[]}', "vertices[0]"),
         ('{"vertices":[0,1],"edges":[[0]]}', "edges[0]"),
         ('{"vertices":[0],"edges":[],"labels":{"a":1}}', "labels key 'a'"),
+        ('{"vertices":[1,10],"edges":[[1,10]],"labels":{"1":"a","01":"b"}}', "labels key '01'"),
+        ('{"vertices":[10],"edges":[],"labels":{"1_0":1}}', "labels key '1_0'"),
+        ('{"vertices":[0],"edges":[],"labels":{" 0 ":1}}', "labels key ' 0 '"),
         ('{"vertices":[0],"edges":[],"labels":[1]}', "labels = [1]"),
         ('{"vertices":[0,1],"edges":[[0,1,2]]}', "edges[0] = [0, 1, 2]"),
         ('{"vertices":[0,1],"edges":[null]}', "edges[0] = None"),
@@ -289,6 +292,10 @@ def test_cover_validate_detects_folding(tmp_path, capsys):
         (lambda obj: obj.pop("graph"), "has no 'graph' object"),
         (lambda obj: obj.pop("projection"), "has no 'projection' object"),
         (lambda obj: obj["projection"].update({"a": 0}), "projection keys must be vertex ids"),
+        (
+            lambda obj: obj["projection"].update({" 0 ": obj["projection"].pop("0")}),
+            "projection keys must be vertex ids; key ' 0 ' is not a canonical integer id",
+        ),
         (lambda obj: obj["projection"].update({"0": [0]}), "projection values must be vertex ids"),
         (
             lambda obj: obj["projection"].update({"9999": 0}),

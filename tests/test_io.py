@@ -44,6 +44,14 @@ def test_malformed_json_raises():
         ('{"vertices": [0, 1], "edges": [[0, 1], [0]]}', "edges[1]"),
         ('{"vertices": [0, 1], "edges": [[0, 1.5]]}', "edges[0]"),
         ('{"vertices": [0], "edges": [], "labels": {"a": 1}}', "labels key 'a'"),
+        # only the canonical decimal names an id, so no label is silently lost
+        (
+            '{"vertices": [1, 10], "edges": [[1, 10]], "labels": {"1": "a", "01": "b", "1_0": "c"}}',
+            "labels key '01' is not a canonical integer id",
+        ),
+        ('{"vertices": [10], "edges": [], "labels": {"1_0": 1}}', "labels key '1_0'"),
+        ('{"vertices": [0], "edges": [], "labels": {" 0 ": 1}}', "labels key ' 0 '"),
+        ('{"vertices": [0], "edges": [], "labels": {"-0": 1}}', "labels key '-0'"),
         ('{"vertices": [0], "edges": [], "labels": [1]}', "labels = [1]"),
         ('{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "name": 5}', "name = 5 is not a string"),
     ],

@@ -192,6 +192,21 @@ def test_straightness():
     assert not is_straight(patch.graph, bent)  # interior degree {2, 4}
 
 
+def test_is_straight_checks_the_walk_once(monkeypatch):
+    """Straightness reads each bend once; the walk is checked once, not
+    once per bend."""
+    from cliquedyn import surface
+
+    g = hex_torus(4, 120)
+    walk = max(maximal_straight_paths(g, 1), key=len)
+    assert len(walk) - 1 >= 100
+    calls = []
+    real = surface.check_walk
+    monkeypatch.setattr(surface, "check_walk", lambda *a: calls.append(a) or real(*a))
+    assert is_straight(g, walk)
+    assert len(calls) == 1
+
+
 def test_maximal_straight_paths_in_triangle_patch():
     d5 = gen_delta(5)
     walks = maximal_straight_paths(d5.graph, 3)
