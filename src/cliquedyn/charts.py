@@ -41,13 +41,12 @@ class ChartConflictError(ChartError):
 class Chart:
     """Injective coordinate map onto an induced triangular subgraph."""
 
-    __slots__ = ("m", "mapping", "_image", "_inverse")
+    __slots__ = ("m", "mapping", "_image")
 
     def __init__(self, m: int, mapping: dict[Coord, int]):
         self.m = m
         self.mapping = mapping
         self._image: frozenset[int] | None = None
-        self._inverse: dict[int, Coord] | None = None
 
     def __getitem__(self, c: Coord) -> int:
         return self.mapping[c]
@@ -60,12 +59,6 @@ class Chart:
         if self._image is None:
             self._image = frozenset(self.mapping.values())
         return self._image
-
-    @property
-    def inverse(self) -> dict[int, Coord]:
-        if self._inverse is None:
-            self._inverse = {v: c for c, v in self.mapping.items()}
-        return self._inverse
 
     def core(self, depth: int) -> frozenset[int]:
         """Image of the domain coordinates at least ``depth`` from every

@@ -162,9 +162,11 @@ def cmd_cover(args) -> int:
         raise GraphError("cover validate requires --target, the base graph file")
     with open(args.file) as fh:
         try:
-            ball_obj = json.load(fh)
+            ball_obj = json.load(fh, object_pairs_hook=gio.unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphError(f"ball file {args.file} is not JSON: {exc}") from None
+        except GraphError as exc:
+            raise GraphError(f"ball file {args.file}: {exc}") from None
     for key in ("graph", "projection"):
         if not isinstance(ball_obj, dict) or not isinstance(ball_obj.get(key), dict):
             raise GraphError(f"ball file {args.file} has no {key!r} object")

@@ -38,7 +38,7 @@ from .graph import (
     common_neighbourhood,
     induced_subgraph,
 )
-from .hexgrid import BASIS, classify_triangle_coords
+from .hexgrid import BASIS
 from .surface import SurfaceReport, facets, validate_surface
 
 
@@ -191,49 +191,28 @@ def clique_from_vertex(gg: GeoGraph, v: int) -> frozenset[int]:
 def clique_summary(gg: GeoGraph, chart: Chart) -> frozenset[int]:
     """Closed-form member list of the clique attached to a next-level vertex.
 
-    ``chart`` is the chart of the next-level vertex; a side-0 chart stands
-    for its host vertex.  The result is compared against the constructive
-    common-neighbourhood computation.
+    ``chart`` is the chart of the next-level vertex, a side-m triangle T; a
+    side-0 chart stands for its host vertex.  The clique is the union of
+    T's three corner children (m >= 1), every level-(m+1) triangle holding
+    T, every level-(m+3) triangle whose ``core(1)`` is T, and T's centre:
+    the inverted facet at m = 2, ``core(1)`` at m >= 3.  The result is
+    compared against the constructive common-neighbourhood computation.
     """
-    if chart.m == 0:
-        v = chart[(0, 0, 0)]
-        members = frozenset(gg.membership.get((1, v), ())) | {
-            i for i in gg.membership.get((3, v), ()) if gg.charts[i][(1, 1, 1)] == v
-        }
-        built = clique_from_vertex(gg, v)
+    m, support = chart.m, chart.image
+    members = set(_supersets(gg, support, m + 1))
+    members.update(i for i in _supersets(gg, support, m + 3) if gg.charts[i].core(1) == support)
+    if m >= 1:
+        members.update(gg.gid(chart.sub_support(e, m - 1)) for e in BASIS)
+    if m == 2:
+        members.add(gg.gid(frozenset(chart[c] for c in ((1, 1, 0), (0, 1, 1), (1, 0, 1)))))
+    elif m >= 3:
+        members.add(gg.gid(chart.core(1)))
+    if m == 0:
+        built = clique_from_vertex(gg, chart[(0, 0, 0)])
     else:
-        members = _summary_from_chart(gg, chart)
         built = clique_from_triangle(gg, chart)
     if built != members:
         raise GeoError("summary and construction disagree")
-    return members
-
-
-def _summary_from_chart(gg: GeoGraph, chart: Chart) -> frozenset[int]:
-    level = chart.m  # level of the next-graph vertex the clique belongs to
-    support = chart.image
-    members: set[int] = set()
-    for e in BASIS:
-        members.add(gg.gid(chart.sub_support(e, level - 1)))
-
-    down_parent = None
-    for i in _supersets(gg, support, level + 1):
-        shape = _preimage_shape(gg, i, support)
-        if shape == "up":
-            members.add(i)
-        elif shape == "down":
-            down_parent = i
-    for i in _supersets(gg, support, level + 3):
-        if gg.charts[i].core(1) == support:
-            members.add(i)
-
-    if level == 1 and down_parent is not None:
-        members.add(down_parent)
-    elif level == 2:
-        inner = frozenset(chart[c] for c in ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
-        members.add(gg.gid(inner))
-    elif level >= 3:
-        members.add(gg.gid(chart.core(1)))
     return frozenset(members)
 
 
@@ -241,13 +220,6 @@ def _supersets(gg: GeoGraph, support: frozenset[int], level: int) -> list[int]:
     return [
         i for i in gg.membership.get((level, min(support)), ()) if support <= gg.charts[i].image
     ]
-
-
-def _preimage_shape(gg: GeoGraph, i: int, support: frozenset[int]) -> str | None:
-    inv = gg.charts[i].inverse
-    coords = frozenset(inv[v] for v in support)
-    shape = classify_triangle_coords(coords)
-    return shape[0] if shape else None
 
 
 # -- correspondence with the next level graph --------------------------------
@@ -271,7 +243,8 @@ class CMapResult:
 
 def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     """The clique attached to every next-level vertex, with injectivity and
-    deep-interior surjectivity certificates.
+    deep-interior surjectivity certificates.  A clique that cannot be
+    certified raises its ``GeoError`` prefixed with the vertex's label.
 
     Surjectivity is checked against brute-force maximal clique enumeration
     of gg_n, restricted to the deep cliques: those all of whose members
@@ -290,7 +263,10 @@ def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     seen: dict[frozenset[int], int] = {}
     collisions: list[tuple[int, int]] = []
     for i, chart in enumerate(gg_next.charts):
-        clique = clique_summary(gg_n, chart)
+        try:
+            clique = clique_summary(gg_n, chart)
+        except GeoError as exc:
+            raise type(exc)(f"next-level vertex {gg_next.label(i)}: {exc}") from exc
         mapping[i] = clique
         if clique in seen:
             collisions.append((seen[clique], i))
@@ -364,7 +340,12 @@ def verify_geometric_equivalence(
         )
     failures: list[str] = []
 
-    cmr = c_map(gg_n, gg_next)
+    try:
+        cmr = c_map(gg_n, gg_next)
+    except GeoError as exc:
+        # the host passed every input gate above, so a clique the map cannot
+        # certify is a failed certificate; no deep clique was counted
+        return EquivalenceReport(False, n, margin, len(gg_next), 0, [str(exc)])
     if cmr.collisions:
         failures.append(f"clique map not injective: {cmr.collisions[:3]}")
     if cmr.missing_cliques:

@@ -43,7 +43,11 @@ class Graph:
         vs = sorted(set(vs))
         adj: dict[int, set[int]] = {v: set() for v in vs}
         m = 0
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:
                 raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer id")
             if u == v:

@@ -10,6 +10,7 @@ differently.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 from .graph import Graph, GraphError
@@ -51,6 +52,9 @@ def graph_from_dict(obj: dict) -> Graph:
             labels = {id_key(k): _freeze_label(v) for k, v in labels.items()}
         except ValueError as exc:
             raise GraphError(f"malformed graph object: labels {exc}") from None
+        stray = labels.keys() - set(vertices)
+        if stray:
+            raise GraphError(f"malformed graph object: labels key '{min(stray)}' names no vertex")
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise GraphError(f"malformed graph object: name = {name!r} is not a string")
@@ -70,6 +74,17 @@ def id_key(key: str) -> int:
     return v
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for the ``json`` readers: the object of
+    ``pairs``, raising ``GraphError`` on a repeated key, which plain
+    ``json`` would resolve silently to its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise GraphError(f"repeated key {key!r} in a JSON object")
+    return obj
+
+
 def _freeze_label(value):
     if isinstance(value, list):
         return tuple(_freeze_label(x) for x in value)
@@ -78,7 +93,7 @@ def _freeze_label(value):
 
 def graph_from_json(text: str) -> Graph:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from cliquedyn import cli, lemmas
+from cliquedyn import cli, geometric, lemmas
 from cliquedyn.cli import main
+from cliquedyn.geometric import GeoBuilder
 from cliquedyn.isomorphism import BudgetError
 from cliquedyn.io import graph_from_json, graph_to_json, load_graph
 from cliquedyn.surface import facets
@@ -64,6 +65,7 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
         ('{"vertices":[10],"edges":[],"labels":{"1_0":1}}', "labels key '1_0'"),
         ('{"vertices":[0],"edges":[],"labels":{" 0 ":1}}', "labels key ' 0 '"),
         ('{"vertices":[0],"edges":[],"labels":[1]}', "labels = [1]"),
+        ('{"vertices":[0],"edges":[],"labels":{"5":"x"}}', "labels key '5' names no vertex"),
         ('{"vertices":[0,1],"edges":[[0,1,2]]}', "edges[0] = [0, 1, 2]"),
         ('{"vertices":[0,1],"edges":[null]}', "edges[0] = None"),
         # a bad vertex is named before a bad edge, a bad edge before bad
@@ -72,9 +74,11 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
         ('{"vertices":[0,1],"edges":[[0,1],[0]],"labels":{"a":1}}', "edges[1] = [0]"),
         ('{"vertices":[0],"edges":[[0,0]],"labels":{"a":1}}', "labels key 'a'"),
         ('{"vertices":[0],"edges":[[0,5]],"labels":[1]}', "labels = [1]"),
+        ('{"vertices":[0],"edges":[[0,0]],"labels":{"5":1}}', "labels key '5' names no vertex"),
         ('{"vertices":[0,1,2],"edges":[[0,1],[1,2]],"name":5}', "name = 5 is not a string"),
         # bad labels are named before a bad name
         ('{"vertices":[0],"edges":[],"labels":[1],"name":5}', "labels = [1]"),
+        ('{"vertices":[0,1],"edges":[],"labels":{"1":1,"5":1},"name":5}', "labels key '5'"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, field):
@@ -229,6 +233,29 @@ def test_geometric_verify_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["ok"]
 
 
+def test_geometric_verify_reports_a_failed_certificate(tmp_path, capsys, monkeypatch):
+    """A clique whose summary and construction disagree fails the
+    certificate (exit 1) on a valid host; it is not an input error."""
+    built = geometric.clique_from_triangle
+    monkeypatch.setattr(
+        geometric, "clique_from_triangle", lambda gg, chart: set(sorted(built(gg, chart))[1:])
+    )
+    patch = tmp_path / "p.json"
+    run(capsys, "generate", "hex-patch", "8", "--out", str(patch))
+    code, out, err = run(capsys, "geometric", "verify", str(patch), "--n", "1")
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert set(report) == {"ok", "n", "margin", "next_vertices", "deep_cliques", "failures"}
+    # level-0 vertices come first and are built as vertex cliques
+    gg_next = GeoBuilder(load_graph(patch)).build(2, margin=4)
+    first = next(i for i, ch in enumerate(gg_next.charts) if ch.m == 2)
+    label = gg_next.label(first)
+    assert not report["ok"] and report["next_vertices"] == len(gg_next)
+    assert report["failures"] == [
+        f"next-level vertex {label}: summary and construction disagree"
+    ]
+
+
 def test_geometric_verify_names_a_host_too_small_to_check(tmp_path, capsys):
     disc = tmp_path / "disc.json"
     disc.write_text('{"vertices":[0,1,2,3],"edges":[[0,1],[1,2],[2,3],[3,0],[0,2]]}')
@@ -302,6 +329,10 @@ def test_cover_validate_detects_folding(tmp_path, capsys):
             "projection key 9999 is not a vertex of the source graph",
         ),
         (lambda obj: "{broken", "is not JSON"),  # replaces the whole file
+        (
+            lambda obj: json.dumps(obj)[:-1] + ', "projection": {}}',
+            "repeated key 'projection' in a JSON object",
+        ),
     ],
 )
 def test_cover_validate_names_a_malformed_ball(tmp_path, capsys, edit, message):

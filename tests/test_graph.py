@@ -53,6 +53,20 @@ def test_graph_rejects_ids_that_are_not_ints(vertices, edges, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([1], [(1,)], "edge (1,) is not a pair of vertex ids"),
+        ([1, 2], [(1, 2, 3)], "edge (1, 2, 3) is not a pair of vertex ids"),
+        ([1], [1], "edge 1 is not a pair of vertex ids"),
+    ],
+)
+def test_graph_names_a_malformed_edge(vertices, edges, message):
+    with pytest.raises(GraphError) as info:
+        Graph(vertices, edges)
+    assert str(info.value) == message
+
+
 def test_duplicate_edges_collapse():
     g = Graph([0, 1], [(0, 1), (1, 0)])
     assert g.edge_count == 1

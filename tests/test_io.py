@@ -53,6 +53,15 @@ def test_malformed_json_raises():
         ('{"vertices": [0], "edges": [], "labels": {" 0 ": 1}}', "labels key ' 0 '"),
         ('{"vertices": [0], "edges": [], "labels": {"-0": 1}}', "labels key '-0'"),
         ('{"vertices": [0], "edges": [], "labels": [1]}', "labels = [1]"),
+        ('{"vertices": [0], "edges": [], "labels": {"5": "x"}}', "labels key '5' names no vertex"),
+        ('{"vertices": [0, 2], "edges": [], "labels": {"2": 1, "1": 1}}', "labels key '1' names"),
+        # plain json keeps the last of two equal keys, silently losing the first
+        ('{"vertices": [1], "edges": [], "labels": {"1": "a", "1": "b"}}', "repeated key '1'"),
+        ('{"vertices": [1], "edges": [], "vertices": [2]}', "repeated key 'vertices'"),
+        (
+            '{"vertices": [1], "edges": [], "labels": {"1": {"x": 0, "y": 1, "x": 2}}}',
+            "repeated key 'x' in a JSON object",
+        ),
         ('{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "name": 5}', "name = 5 is not a string"),
     ],
 )
