@@ -1,12 +1,12 @@
 """Hexagonal charts: finding triangular patches inside a graph and
 extending them across their neighbourhoods.
 
-A chart maps lattice coordinates injectively onto an induced subgraph.
-Charts are found by anchoring an ordered facet at a triangle corner and
-developing the rest of the domain facet by facet: on a host whose
-neighbourhoods are cycles or paths, an edge has at most two common
-neighbours, so each new vertex is forced once the facet on the far side
-of its base edge is known.
+A chart maps lattice coordinates injectively into the host.  Standard
+charts, whose images are induced triangles, are found by anchoring an
+ordered facet at a triangle corner and developing the rest of the domain
+facet by facet: on a host whose neighbourhoods are cycles or paths, an
+edge has at most two common neighbours, so each new vertex is forced once
+the facet on the far side of its base edge is known.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .hexgrid import (
     Coord,
     add,
     delta_coords,
-    flipped_delta_coords,
     gen_delta,
     side_of,
 )
@@ -39,26 +38,23 @@ class ChartConflictError(ChartError):
 
 
 class Chart:
-    """Injective coordinate map onto an induced triangular subgraph."""
+    """Injective map from lattice coordinates into the host; ``m`` is the
+    side it was built on.  A standard chart's domain is Δ_m and its image an
+    induced side-m triangle; an extension's (see ``extend_chart``) is the
+    side-(m+3) triangle at (-1, -1, -1) minus its corners."""
 
-    __slots__ = ("m", "mapping", "_image")
+    __slots__ = ("m", "mapping", "image")
 
     def __init__(self, m: int, mapping: dict[Coord, int]):
         self.m = m
         self.mapping = mapping
-        self._image: frozenset[int] | None = None
+        self.image = frozenset(mapping.values())
 
     def __getitem__(self, c: Coord) -> int:
         return self.mapping[c]
 
     def __contains__(self, c: Coord) -> bool:
         return c in self.mapping
-
-    @property
-    def image(self) -> frozenset[int]:
-        if self._image is None:
-            self._image = frozenset(self.mapping.values())
-        return self._image
 
     def core(self, depth: int) -> frozenset[int]:
         """Image of the domain coordinates at least ``depth`` from every
@@ -73,12 +69,6 @@ class Chart:
 
     def key(self) -> tuple:
         return tuple(sorted(self.mapping.items()))
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "map": {",".join(map(str, c)): v for c, v in sorted(self.mapping.items())},
-        }
 
     def __repr__(self) -> str:
         return f"<Chart m={self.m} image={sorted(self.image)[:4]}...>"
@@ -203,31 +193,7 @@ def chart_of_support(g: Graph, support) -> Chart:
     raise ChartError(f"support of size {len(support)} is not a side-{m} triangle")
 
 
-class ExtendedChart:
-    """A chart on the side-m triangle extended across its neighbourhood."""
-
-    __slots__ = ("base", "mapping")
-
-    def __init__(self, base: Chart, mapping: dict[Coord, int]):
-        self.base = base
-        self.mapping = mapping
-
-    def __getitem__(self, c: Coord) -> int:
-        return self.mapping[c]
-
-    def __contains__(self, c: Coord) -> bool:
-        return c in self.mapping
-
-    def translate_image(self, d: Coord) -> frozenset[int]:
-        return frozenset(self.mapping[add(c, d)] for c in delta_coords(self.base.m))
-
-    def twisted_image(self) -> frozenset[int] | None:
-        if self.base.m != 3:
-            return None
-        return frozenset(self.mapping[c] for c in flipped_delta_coords(3, (2, 2, 2)))
-
-
-def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
+def extend_chart(g: Graph, chart: Chart) -> Chart:
     """Extend a standard chart across the neighbourhood of its image.
 
     Each rim vertex of the image (at a domain coordinate with a zero entry)
@@ -236,20 +202,22 @@ def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
     The extension exists exactly when every rim vertex has degree 6 and the
     map read is injective, else ``ChartConflictError`` is raised (also if
     two rim vertices read different vertices at one coordinate, which a
-    standard chart rules out).  The domain is the side-(m+3) triangle at
-    offset (-1, -1, -1) minus its corners, the union of the six unit
-    translates of the chart's domain; at m = 3 it holds the twisted copy.
+    standard chart rules out).  The result is a side-m ``Chart`` whose
+    domain is the side-(m+3) triangle at offset (-1, -1, -1) minus its
+    corners: the union of the six unit translates of Δ_m, the translate
+    by d read as ``sub_support(d, m)``; at m = 3 it also holds the twisted
+    copy.
 
-    On grid-like neighbourhoods their images are exactly the same-size
-    triangles in the closed neighbourhood of the image.  Elsewhere they may
-    miss some of them or be no triangles, so ``neighbour_triangles`` is the
-    definition of those neighbours.  On hosts with a boundary, the image
-    must keep distance at least 2 from it."""
+    On grid-like neighbourhoods the translates' images are exactly the
+    same-size triangles in the closed neighbourhood of the image.
+    Elsewhere they may miss some of them or be no triangles, so
+    ``neighbour_triangles`` is the definition of those neighbours.  The
+    image must keep distance at least 2 from the host boundary, if any."""
     m = chart.m
     if m < 3:
         raise ChartError("chart extension needs side length at least 3")
     report = _require_patch_surface(g)
-    if report.boundary.n and min_boundary_distance(g, chart.image) < 2:
+    if min_boundary_distance(g, chart.image) < 2:
         raise MarginError("chart image is within distance 2 of the host boundary")
     mapping = dict(chart.mapping)
     for c, p in chart.mapping.items():
@@ -271,9 +239,10 @@ def extend_chart(g: Graph, chart: Chart) -> ExtendedChart:
             x = cycle[(j + turn * k) % 6]
             if mapping.setdefault(s, x) != x:
                 raise ChartConflictError(f"rim vertices disagree at offset {s}")
-    if len(set(mapping.values())) != len(mapping):
+    ext = Chart(m, mapping)
+    if len(ext.image) != len(mapping):
         raise ChartConflictError("extension is not injective")
-    return ExtendedChart(chart, mapping)
+    return ext
 
 
 def neighbour_triangles(g: Graph, support) -> list[frozenset[int]]:
@@ -287,9 +256,9 @@ def neighbour_triangles(g: Graph, support) -> list[frozenset[int]]:
     m = side_of(len(support))
     if m is None or m < 1:
         raise ChartError("neighbour enumeration needs a triangle of side at least 1")
-    report = _require_patch_surface(g)
+    _require_patch_surface(g)
     margin = 1 if m <= 2 else 2
-    if report.boundary.n and min_boundary_distance(g, support) < margin:
+    if min_boundary_distance(g, support) < margin:
         raise MarginError(f"support is within distance {margin} of the host boundary")
     hood = closed_neighbourhood(g, support)
     images = {ch.image for ch in find_standard_charts(g, m) if ch.image <= hood}

@@ -163,14 +163,17 @@ def cmd_cover(args) -> int:
     with open(args.file) as fh:
         try:
             ball_obj = json.load(fh, object_pairs_hook=gio.unique_keys)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise GraphError(f"ball file {args.file} is not JSON: {exc}") from None
         except GraphError as exc:
             raise GraphError(f"ball file {args.file}: {exc}") from None
     for key in ("graph", "projection"):
         if not isinstance(ball_obj, dict) or not isinstance(ball_obj.get(key), dict):
             raise GraphError(f"ball file {args.file} has no {key!r} object")
-    source = gio.graph_from_dict(ball_obj["graph"])
+    try:
+        source = gio.graph_from_dict(ball_obj["graph"])
+    except GraphError as exc:
+        raise GraphError(f"ball file {args.file}: {exc}") from None
     try:
         projection = {gio.id_key(k): v for k, v in ball_obj["projection"].items()}
     except ValueError as exc:

@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .graph import Graph, GraphError
-from .isomorphism import BudgetError, canonical_hash, find_isomorphism
+from .isomorphism import BudgetError, canonical_hash, find_isomorphism, recursion_room
 
 DEFAULT_VERTEX_BUDGET = 500_000
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -99,24 +99,27 @@ def max_cliques(
     skip = adj[pivot]
     kids = [v for v in g.vertices if v not in skip]
     start = 0
-    while start < len(kids):
-        # the next frame: closed neighbourhoods of children, until it is full
-        frame: set[int] = set()
-        end = start
-        while end < len(kids) and len(frame) <= FRAME_BITS:
-            frame |= adj[kids[end]]
-            frame.add(kids[end])
-            end += 1
-        us = sorted(frame)
-        bit = {u: 1 << i for i, u in enumerate(us)}
-        nb = [sum(map(bit.__getitem__, adj[u] & frame)) for u in us]  # sum of distinct bits
-        first = kids[start]  # the children before it are done: they join x
-        done = sum(bit[u] for u in us if u < first and u not in skip)
-        for v in kids[start:end]:
-            nv = nb[bit[v].bit_length() - 1]
-            expand([v], nv & ~done, nv & done)
-            done |= bit[v]
-        start = end
+    # expand recurses once per clique member, and a clique has at most the
+    # pivot's degree plus one members
+    with recursion_room(len(skip) + 1):
+        while start < len(kids):
+            # the next frame: closed neighbourhoods of children, until it is full
+            frame: set[int] = set()
+            end = start
+            while end < len(kids) and len(frame) <= FRAME_BITS:
+                frame |= adj[kids[end]]
+                frame.add(kids[end])
+                end += 1
+            us = sorted(frame)
+            bit = {u: 1 << i for i, u in enumerate(us)}
+            nb = [sum(map(bit.__getitem__, adj[u] & frame)) for u in us]  # sum of distinct bits
+            first = kids[start]  # the children before it are done: they join x
+            done = sum(bit[u] for u in us if u < first and u not in skip)
+            for v in kids[start:end]:
+                nv = nb[bit[v].bit_length() - 1]
+                expand([v], nv & ~done, nv & done)
+                done |= bit[v]
+            start = end
     out.sort(key=sorted)
     return out
 

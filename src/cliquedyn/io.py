@@ -52,6 +52,8 @@ def graph_from_dict(obj: dict) -> Graph:
             labels = {id_key(k): _freeze_label(v) for k, v in labels.items()}
         except ValueError as exc:
             raise GraphError(f"malformed graph object: labels {exc}") from None
+        except RecursionError:
+            raise GraphError("malformed graph object: labels nest too deeply") from None
         stray = labels.keys() - set(vertices)
         if stray:
             raise GraphError(f"malformed graph object: labels key '{min(stray)}' names no vertex")
@@ -94,7 +96,7 @@ def _freeze_label(value):
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise GraphError("graph JSON must be an object")
@@ -126,7 +128,8 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def edge_list_text(g: Graph) -> str:
-    lines = [f"# {g.name}"] if g.name else []
+    # every line of the name is a comment, so none of them reads back as data
+    lines = [f"# {line}" for line in g.name.splitlines()]
     touched = set()
     for u, v in g.edges():
         touched.add(u)
@@ -138,12 +141,16 @@ def edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_string(value) -> str:
+    """``str(value)`` as a DOT quoted string, backslashes and quotes escaped."""
+    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Graph) -> str:
-    name = g.name or "G"
-    lines = [f'graph "{name}" {{']
+    lines = [f"graph {_dot_string(g.name or 'G')} {{"]
     for v in g.vertices:
         if g.labels and v in g.labels:
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+            lines.append(f"  {v} [label={_dot_string(g.labels[v])}];")
         else:
             lines.append(f"  {v};")
     for u, v in g.edges():

@@ -25,7 +25,9 @@ patches, small tori, iterated clique graphs) keep the tree small.
 from __future__ import annotations
 
 import hashlib
+import sys
 from collections import Counter, deque
+from contextlib import contextmanager
 from itertools import chain
 from typing import Iterator
 
@@ -36,6 +38,19 @@ DEFAULT_BUDGET = 2_000_000
 
 class BudgetError(RuntimeError):
     """A search or iteration budget was exhausted; the answer is unknown."""
+
+
+@contextmanager
+def recursion_room(depth: int) -> Iterator[None]:
+    """Raise the recursion limit by ``depth`` frames inside the block: the
+    searches recurse once per vertex they choose, to a depth the input
+    bounds, which must not end in ``RecursionError``."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + depth)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class _Partition:
@@ -188,7 +203,8 @@ class _CanonSearch:
         root = _Partition.unit(len(self.adj))
         self._charge()
         root.refine(self.adj, [0])
-        self._descend(root, ())
+        with recursion_room(len(self.adj)):  # one level per individualised vertex
+            self._descend(root, ())
         assert self.best_order is not None
         return self.best_order
 

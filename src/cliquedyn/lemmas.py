@@ -151,9 +151,10 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
             if len(nbrs) != expect:
                 failures.append(f"side {m} triangle has {len(nbrs)} neighbours")
             ext = charts_mod.extend_chart(g, charts_mod.chart_of_support(g, sup))
-            images = {ext.translate_image(d) for d in hexgrid.UNIT_STEPS}
-            images.add(ext.twisted_image())
-            images.discard(None)
+            images = {ext.sub_support(d, m) for d in hexgrid.UNIT_STEPS}
+            if m == 3:  # the twisted side-3 copy inside the extension
+                twisted = hexgrid.flipped_delta_coords(3, (2, 2, 2))
+                images.add(frozenset(ext[c] for c in twisted))
             if images != set(nbrs):
                 failures.append(
                     f"side {m} triangle at {min(sup)}: extension realises {len(images)}"

@@ -45,6 +45,16 @@ def genus2():
     return genus2_surface()
 
 
+@pytest.fixture
+def low_recursion_limit():
+    """A recursion limit of 200 during the test, so that a search deeper
+    than the limit needs only a small graph."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    yield 200
+    sys.setrecursionlimit(old)
+
+
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES

@@ -23,6 +23,7 @@ from cliquedyn.hexgrid import (
     apply_permutation,
     are_adjacent,
     delta_coords,
+    flipped_delta_coords,
     gen_delta,
     gen_hex_patch,
 )
@@ -109,12 +110,13 @@ def test_m0_charts_are_vertices(octa):
 
 
 def test_extension_realises_all_directions(patch8):
+    """Each unit translate of the extended domain is a side-4 triangle."""
     g = patch8.graph
     support = interior_support(g, 4, 3)
     ext = extend_chart(g, chart_of_support(g, support))
-    for d in UNIT_STEPS:
-        assert ext.translate_image(d) is not None
-    assert ext.twisted_image() is None  # only defined for side 3
+    images = {ch.image for ch in find_standard_charts(g, 4)}
+    translates = {ext.sub_support(d, 4) for d in UNIT_STEPS}
+    assert len(translates) == 6 and translates <= images
 
 
 def test_extension_restriction_matches_base(patch8):
@@ -122,9 +124,10 @@ def test_extension_restriction_matches_base(patch8):
     support = interior_support(g, 3, 3)
     chart = chart_of_support(g, support)
     ext = extend_chart(g, chart)
+    assert isinstance(ext, Chart) and ext.m == 3
     for c, v in chart.mapping.items():
         assert ext[c] == v
-    assert ext.twisted_image() is not None
+    assert all(c in ext for c in flipped_delta_coords(3, (2, 2, 2)))
 
 
 def test_non_triangular_support_is_rejected():
@@ -175,27 +178,17 @@ def test_neighbour_triangles_live_in_neighbourhood(patch6):
 
 
 def test_single_direction_developments_agree(patch8):
-    """Developing each neighbour separately matches the joint extension on
-    every shared offset."""
+    """Each unit translate of the extension, read as a chart of its own,
+    is the neighbour's standard chart up to a coordinate permutation."""
     g = patch8.graph
     support = interior_support(g, 4, 3)
-    chart = chart_of_support(g, support)
-    ext = extend_chart(g, chart)
+    ext = extend_chart(g, chart_of_support(g, support))
     for d in UNIT_STEPS:
-        image = ext.translate_image(d)
-        assert image is not None
-        lone = chart_of_support(g, image)
-        # align the lone chart with the extension through shared vertices
-        for c in delta_coords(4):
-            offset = add(c, d)
-            assert ext[offset] in image
-            assert ext[offset] in lone.image
-
-
-def test_chart_serialization(patch6):
-    chart = find_standard_charts(patch6.graph, 1)[0]
-    obj = chart.to_dict()
-    assert obj["m"] == 1 and len(obj["map"]) == 3
+        lone = chart_of_support(g, ext.sub_support(d, 4))
+        assert any(
+            all(lone[apply_permutation(p, c)] == ext[add(c, d)] for c in delta_coords(4))
+            for p in COORD_PERMUTATIONS
+        )
 
 
 def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
@@ -220,8 +213,9 @@ def test_chart_lists_are_computed_once_per_side():
 def extension_images(g, support):
     """The triangle images the chart extension of ``support`` realises."""
     ext = extend_chart(g, chart_of_support(g, support))
-    images = {ext.translate_image(d) for d in UNIT_STEPS} | {ext.twisted_image()}
-    images.discard(None)
+    images = {ext.sub_support(d, ext.m) for d in UNIT_STEPS}
+    if ext.m == 3:
+        images.add(frozenset(ext[c] for c in flipped_delta_coords(3, (2, 2, 2))))
     return images
 
 
@@ -330,7 +324,8 @@ def test_extension_on_curved_hosts(host):
                 outcomes["not injective"] += 1
                 continue
             ext = extend_chart(g, chart)
-            assert ext.mapping == read and set(read) == domain
+            assert ext.m == m and ext.mapping == read and set(read) == domain
+            assert ext.image == set(read.values())
             assert all(g.has_edge(ext[a], ext[b]) for a, b in edges)
             outcomes["extended"] += 1
     assert outcomes["extended"] and outcomes["degree"] + outcomes["not injective"]

@@ -395,6 +395,35 @@ def test_undecodable_files_are_named(tmp_path, capsys):
     assert code == 2 and f"error: ball file {bad} is not JSON" in err
 
 
+@pytest.mark.parametrize("depth", [900, 100_000])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, depth):
+    """A label nested ``depth`` deep is an input error, not a crash, in a
+    graph file and in a cover ball's graph."""
+    triangle = {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}
+    target = tmp_path / "t.json"
+    target.write_text(json.dumps(triangle))
+    nested = json.dumps(triangle)[:-1] + ', "labels": {"0": ' + "[" * depth + "]" * depth + "}}"
+    graph = tmp_path / "g.json"
+    graph.write_text(nested)
+    named = ("too deeply", "recursion depth")
+    code, out, err = run(capsys, "analyze", str(graph))
+    assert (code, out) == (2, "") and any(word in err for word in named)
+    ball = tmp_path / "ball.json"
+    ball.write_text('{"graph": ' + nested + ', "projection": {"0": 0, "1": 1, "2": 2}}')
+    code, out, err = run(capsys, "cover", "validate", str(ball), "--target", str(target))
+    assert (code, out) == (2, "") and f"error: ball file {ball}" in err
+    assert any(word in err for word in named)
+
+
+def test_iterate_an_edgeless_graph_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """Labeling 1200 isolated vertices individualises them one per level."""
+    edgeless = tmp_path / "e.json"
+    edgeless.write_text(json.dumps({"vertices": list(range(1200)), "edges": []}))
+    code, out, _ = run(capsys, "iterate", str(edgeless), "--steps", "1")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and lines[0]["vertices"] == 1200 and lines[-1]["verdict"] == "converged"
+
+
 def test_library_bugs_propagate(tmp_path, capsys, monkeypatch):
     torus = tmp_path / "t.json"
     run(capsys, "generate", "torus", "4", "4", "--out", str(torus))

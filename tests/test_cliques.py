@@ -163,6 +163,16 @@ def test_max_cliques_node_budget(t44):
         max_cliques(t44, node_budget=3)
 
 
+def test_clique_search_deeper_than_the_recursion_limit(low_recursion_limit):
+    """The search recurses once per clique member: on K_n it is the root and
+    a chain of n nodes, whatever the recursion limit."""
+    n = low_recursion_limit + 100
+    k = complete_graph(n)
+    assert max_cliques(k, node_budget=n + 1) == [frozenset(range(n))]
+    with pytest.raises(BudgetError):
+        max_cliques(k, node_budget=n)
+
+
 def test_iterate_path_collapses_to_a_point():
     p4 = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     trace = iterate_k(p4, 6)

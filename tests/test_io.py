@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from cliquedyn.graph import GraphError
+from cliquedyn.graph import Graph, GraphError
 from cliquedyn.hexgrid import gen_delta
 from cliquedyn.io import (
     edge_list_text,
@@ -76,6 +76,14 @@ def test_edge_list_round_trip(octa):
     assert g == octa
 
 
+@pytest.mark.parametrize("name", ["a\n5 6", "a\r\n5 6\n", "\n\n7", "x # y"])
+def test_edge_list_round_trip_with_a_multi_line_name(name):
+    """Every line of the name is a comment, so none reads back as an edge
+    or a vertex."""
+    g = Graph([0, 1, 2], [(0, 1)], name=name)
+    assert parse_edge_list(edge_list_text(g)) == g
+
+
 def test_edge_list_comments_and_isolated_vertices():
     g = parse_edge_list("# header\n1 2\n7  # isolated\n2 3\n")
     assert g.vertex_set == frozenset({1, 2, 3, 7})
@@ -93,3 +101,23 @@ def test_dot_output_mentions_edges(octa):
     dot = to_dot(octa)
     assert dot.startswith("graph")
     assert "0 -- 2;" in dot
+
+
+def test_dot_output_escapes_quotes_and_backslashes():
+    g = Graph([0, 1, 2], [(0, 1)], name='a"b\\', labels={0: 'x"y', 1: "p\\q", 2: (1, 2)})
+    lines = to_dot(g).splitlines()
+    assert lines[:4] == [
+        'graph "a\\"b\\\\" {',
+        '  0 [label="x\\"y"];',
+        '  1 [label="p\\\\q"];',
+        '  2 [label="(1, 2)"];',
+    ]
+
+
+@pytest.mark.parametrize("depth", [900, 100_000])
+def test_deeply_nested_labels_are_input_errors(depth):
+    """The JSON parser and the label reader both recurse once per level."""
+    label = "[" * depth + "]" * depth
+    text = '{"vertices": [0], "edges": [], "labels": {"0": ' + label + "}}"
+    with pytest.raises(GraphError, match="too deeply|recursion depth"):
+        graph_from_json(text)

@@ -95,6 +95,16 @@ def test_budget_signal_is_distinct():
         canonical_hash(cycle_graph(40), budget=10)
 
 
+def test_labeling_deeper_than_the_recursion_limit(low_recursion_limit):
+    """On an edgeless graph the search individualises one vertex per level,
+    a chain n deep charged n + 1 per node, whatever the recursion limit."""
+    n = low_recursion_limit + 100
+    g = Graph(range(n), [])
+    assert sorted(canonical_order(g, budget=n * (n + 1))) == list(range(n))
+    with pytest.raises(BudgetError):
+        canonical_order(Graph(range(n), []), budget=n * (n + 1) - 1)
+
+
 def test_labeling_budget_verdict_names_budget_and_graph_size():
     with pytest.raises(
         BudgetError, match="^canonical labeling exceeded its budget of 100 on a 40-vertex graph$"
