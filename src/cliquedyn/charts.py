@@ -6,7 +6,12 @@ charts, whose images are induced triangles, are found by anchoring an
 ordered facet at a triangle corner and developing the rest of the domain
 facet by facet: on a host whose neighbourhoods are cycles or paths, an
 edge has at most two common neighbours, so each new vertex is forced once
-the facet on the far side of its base edge is known.
+the facet on the far side of its base edge is known.  Each step is one
+lookup in the host's memoised common-neighbour table
+(``surface.edge_links``), which has an entry exactly for each edge.  A base
+pair that is no edge stops the development: the lattice joins it, so the
+map would miss a lattice edge and the final inducedness test would reject
+it anyway.  That test reads lattice edges as table entries too.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .hexgrid import (
     gen_delta,
     side_of,
 )
-from .surface import SurfaceReport, boundary_distance, facets, validate_surface
+from .surface import SurfaceReport, boundary_distance, edge_links, facets, validate_surface
 
 
 class ChartError(GraphError):
@@ -61,7 +66,7 @@ class Chart:
         side of the triangle; ``core(0)`` is the image."""
         if depth == 0:
             return self.image
-        return frozenset(v for c, v in self.mapping.items() if min(c) >= depth)
+        return frozenset(self.mapping[c] for c in _core_coords(self.m, depth))
 
     def sub_support(self, offset: Coord, size: int) -> frozenset[int]:
         """Image of the translated side-``size`` triangle inside the domain."""
@@ -111,16 +116,30 @@ def _fill_plan(m: int) -> tuple[tuple[Coord, Coord, Coord, Coord], ...]:
     return tuple(plan)
 
 
+@lru_cache(maxsize=64)
+def _core_coords(m: int, depth: int) -> tuple[Coord, ...]:
+    """The coordinates of Δ_m whose least entry is at least ``depth``; for
+    depth >= 1 these are also all such coordinates of an extension's domain,
+    whose other coordinates have an entry -1."""
+    return tuple(c for c in delta_coords(m) if min(c) >= depth)
+
+
 def _develop(g: Graph, assign: dict[Coord, int], m: int) -> dict[Coord, int] | None:
+    """Develop the domain from the anchors in ``assign`` along ``_fill_plan``,
+    or None where a new vertex is not forced, repeats one, or sits on a base
+    pair that is no edge (see the module docstring)."""
+    links = edge_links(g)
     mapping = dict(assign)
     used = set(mapping.values())
     if len(used) != len(mapping):
         return None
     for new, b1, b2, far in _fill_plan(m):
-        cand = (g.neighbors(mapping[b1]) & g.neighbors(mapping[b2])) - {mapping[far]}
-        if len(cand) != 1:
+        common = links.get((mapping[b1], mapping[b2]), ())
+        f = mapping[far]
+        # exactly one common neighbour besides f
+        if len(common) - (f in common) != 1:
             return None
-        (x,) = cand
+        x = common[0] if common[0] != f else common[1]
         if x in used:
             return None
         mapping[new] = x
@@ -139,7 +158,8 @@ def _is_induced_triangle(g: Graph, mapping: dict[Coord, int], m: int) -> bool:
     with all 3m(m+1)/2 lattice edges in place, the induced edge count
     (half the degree sum inside the image) equals that number exactly
     when there is no extra edge."""
-    if not all(g.has_edge(mapping[a], mapping[b]) for a, b in _lattice_edges(m)):
+    links = edge_links(g)
+    if not all((mapping[a], mapping[b]) in links for a, b in _lattice_edges(m)):
         return False
     image = frozenset(mapping.values())
     return sum(len(g.neighbors(v) & image) for v in image) == 3 * m * (m + 1)

@@ -19,6 +19,12 @@ no vertex of ``core(2)`` is adjacent to the boundary, while every other
 vertex off the boundary has a lattice neighbour on it, and the support
 without the closed neighbourhood of its boundary is ``core(2)``.
 
+The candidates for a region are read from an index of each level's
+vertices by the least host vertex of their support: a support inside the
+region has its least vertex in the region, so walking the region's own
+vertices finds every such support exactly once.  This holds on every host,
+flat or curved, and for every gap.
+
 Cliques of this graph arrive in exactly two shapes, one anchored at a
 triangle one size up, one anchored at a host vertex; the resulting
 correspondence with the next level graph is what the verification entry
@@ -120,9 +126,12 @@ class GeoBuilder:
             key=lambda ch: (ch.m, sorted(ch.image)),
         )
         membership: dict[tuple[int, int], list[int]] = {}
+        # (level, host vertex) -> ids of that level whose least vertex it is
+        least: dict[tuple[int, int], list[int]] = {}
         for i, chart in enumerate(charts):
             for v in chart.image:
                 membership.setdefault((chart.m, v), []).append(i)
+            least.setdefault((chart.m, min(chart.image)), []).append(i)
 
         # ids ascend with the level, so walking the gaps downwards and the
         # ids upwards fixes the edge order of to_dict; a same-size pair found
@@ -134,13 +143,15 @@ class GeoBuilder:
                     region = chart.core(gap // 2 - 1)
                 else:
                     region = closed_neighbourhood(self.host, chart.image)
-                candidates: set[int] = set()
-                for v in region:
-                    candidates.update(membership.get((chart.m - gap, v), ()))
-                candidates.discard(i)
-                for j in sorted(candidates):
-                    if charts[j].image <= region:
-                        edges.append((i, j))
+                level = chart.m - gap
+                inside = [
+                    j
+                    for v in region
+                    for j in least.get((level, v), ())
+                    if j != i and charts[j].image <= region
+                ]
+                inside.sort()
+                edges.extend((i, j) for j in inside)
         graph = Graph(range(len(charts)), edges, name=f"levels<=({n})")
         return GeoGraph(self.host, n, margin, charts, graph, membership)
 

@@ -3,8 +3,8 @@
 Graphs are frozen after construction and all operations here are pure
 functions, so values can be shared freely.  Data derived from a graph's
 structure alone is memoised on the graph itself, since it can never go
-stale: connectivity, the surface report, boundary distances, chart lists
-and the canonical order.
+stale: connectivity, the surface report, the edge links and facets,
+boundary distances, chart lists and the canonical order.
 Vertex ids are opaque integers; an id of any other type (``bool``,
 ``float`` and ``str`` included) is rejected, not converted.  Generator
 metadata (for example lattice coordinates) travels in the optional
@@ -13,6 +13,7 @@ metadata (for example lattice coordinates) travels in the optional
 
 from __future__ import annotations
 
+import reprlib
 from typing import Iterable, Iterator, Mapping
 
 
@@ -22,6 +23,19 @@ class GraphError(ValueError):
 
 class UnknownVertexError(GraphError):
     """A vertex id that does not belong to the graph."""
+
+
+class _BriefRepr(reprlib.Repr):
+    """``repr`` for quoting input values in error messages: reprlib's limits
+    on each container, string and nesting level, and at most 80 characters
+    in all, so a malformed value is named without its bulk."""
+
+    def repr(self, x) -> str:
+        text = super().repr(x)
+        return text if len(text) <= 80 else text[:77] + "..."
+
+
+brief_repr = _BriefRepr().repr
 
 
 class Graph:
@@ -39,7 +53,7 @@ class Graph:
         vs = list(vertices)
         for v in vs:
             if type(v) is not int:
-                raise GraphError(f"vertex id {v!r} is not an integer")
+                raise GraphError(f"vertex id {brief_repr(v)} is not an integer")
         vs = sorted(set(vs))
         adj: dict[int, set[int]] = {v: set() for v in vs}
         m = 0
@@ -47,9 +61,11 @@ class Graph:
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise GraphError(f"edge {e!r} is not a pair of vertex ids") from None
+                raise GraphError(f"edge {brief_repr(e)} is not a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:
-                raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer id")
+                raise GraphError(
+                    f"edge ({brief_repr(u)},{brief_repr(v)}) has an endpoint that is not an integer id"
+                )
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:

@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, brief_repr
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -40,14 +40,20 @@ def graph_from_dict(obj: dict) -> Graph:
         raise GraphError(f"malformed graph object: {exc}") from exc
     for i, v in enumerate(vertices):
         if type(v) is not int:
-            raise GraphError(f"malformed graph object: vertices[{i}] = {v!r} is not an integer id")
+            raise GraphError(
+                f"malformed graph object: vertices[{i}] = {brief_repr(v)} is not an integer id"
+            )
     for i, e in enumerate(edges):
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
-            raise GraphError(f"malformed graph object: edges[{i}] = {e!r} is not an id pair")
+            raise GraphError(
+                f"malformed graph object: edges[{i}] = {brief_repr(e)} is not an id pair"
+            )
     labels = obj.get("labels") or None
     if labels is not None:
         if not isinstance(labels, dict):
-            raise GraphError(f"malformed graph object: labels = {labels!r} is not an object")
+            raise GraphError(
+                f"malformed graph object: labels = {brief_repr(labels)} is not an object"
+            )
         try:
             labels = {id_key(k): _freeze_label(v) for k, v in labels.items()}
         except ValueError as exc:
@@ -59,7 +65,7 @@ def graph_from_dict(obj: dict) -> Graph:
             raise GraphError(f"malformed graph object: labels key '{min(stray)}' names no vertex")
     name = obj.get("name", "")
     if not isinstance(name, str):
-        raise GraphError(f"malformed graph object: name = {name!r} is not a string")
+        raise GraphError(f"malformed graph object: name = {brief_repr(name)} is not a string")
     return Graph(vertices, edges, name=name, labels=labels)
 
 
@@ -72,7 +78,7 @@ def id_key(key: str) -> int:
     except ValueError:
         v = None
     if v is None or str(v) != key:
-        raise ValueError(f"key {key!r} is not a canonical integer id")
+        raise ValueError(f"key {brief_repr(key)} is not a canonical integer id")
     return v
 
 
@@ -83,7 +89,7 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         key = next(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
-        raise GraphError(f"repeated key {key!r} in a JSON object")
+        raise GraphError(f"repeated key {brief_repr(key)} in a JSON object")
     return obj
 
 

@@ -92,15 +92,31 @@ def edge_facets(fs: Sequence[tuple[int, int, int]]) -> dict[frozenset[int], list
     return held
 
 
-def facets(g: Graph) -> list[tuple[int, int, int]]:
-    """All vertex triples inducing a 3-circle, each once, sorted."""
-    out = []
+def edge_links(g: Graph) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each edge, in both directions (u, v) and (v, u), mapped to the common
+    neighbours of its ends: a pair is a key exactly when it is an edge.
+
+    Computed once per graph; the returned mapping is shared, so callers
+    must not modify it."""
+    if "edge_links" in g._memo:
+        return g._memo["edge_links"]
+    links: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v in g.edges():
-        for w in g.neighbors(u) & g.neighbors(v):
-            if w > v:
-                out.append((u, v, w))
-    out.sort()
-    return out
+        links[u, v] = links[v, u] = tuple(g.neighbors(u) & g.neighbors(v))
+    g._memo["edge_links"] = links
+    return links
+
+
+def facets(g: Graph) -> list[tuple[int, int, int]]:
+    """All vertex triples inducing a 3-circle, each once, sorted.
+
+    Computed once per graph from ``edge_links``; the returned list is
+    shared, so callers must not modify it."""
+    if "facets" not in g._memo:
+        g._memo["facets"] = sorted(
+            (u, v, w) for (u, v), ws in edge_links(g).items() if u < v for w in ws if w > v
+        )
+    return g._memo["facets"]
 
 
 @dataclass(frozen=True)

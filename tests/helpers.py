@@ -8,6 +8,7 @@ from itertools import permutations
 
 import networkx as nx
 
+from cliquedyn.charts import Chart, _fill_plan
 from cliquedyn.cliques import DEFAULT_NODE_BUDGET
 from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood
@@ -83,6 +84,54 @@ def reference_max_cliques(
         expand([], set(g.vertices), set())
     out.sort(key=sorted)
     return out
+
+
+def reference_develop(g: Graph, assign: dict, m: int) -> dict | None:
+    """The intersection-based chart development that the ``edge_links``
+    lookup of ``charts._develop`` replaced, kept as its reference: each new
+    vertex is the one member of (N(b1) & N(b2)) - {far}, whether or not the
+    base pair is an edge."""
+    mapping = dict(assign)
+    used = set(mapping.values())
+    if len(used) != len(mapping):
+        return None
+    for new, b1, b2, far in _fill_plan(m):
+        cand = (g.neighbors(mapping[b1]) & g.neighbors(mapping[b2])) - {mapping[far]}
+        if len(cand) != 1:
+            return None
+        (x,) = cand
+        if x in used:
+            return None
+        mapping[new] = x
+        used.add(x)
+    return mapping
+
+
+def reference_level_edges(host: Graph, charts: list[Chart]) -> list[tuple[int, int]]:
+    """The edge list of the level graph on ``charts`` (in ``GeoBuilder.build``
+    order), from the scan that the least-vertex index replaced, kept as its
+    reference: the candidates for a region are all the charts of the lower
+    level that hold any vertex of it."""
+    membership: dict[tuple[int, int], list[int]] = {}
+    for i, chart in enumerate(charts):
+        for v in chart.image:
+            membership.setdefault((chart.m, v), []).append(i)
+    edges = []
+    for i, chart in enumerate(charts):
+        for gap in (6, 4, 2, 0):
+            if gap:
+                depth = gap // 2 - 1
+                region = frozenset(v for c, v in chart.mapping.items() if min(c) >= depth)
+            else:
+                region = closed_neighbourhood(host, chart.image)
+            candidates: set[int] = set()
+            for v in region:
+                candidates.update(membership.get((chart.m - gap, v), ()))
+            candidates.discard(i)
+            for j in sorted(candidates):
+                if charts[j].image <= region:
+                    edges.append((i, j))
+    return edges
 
 
 def star_cut_antiprism(torus: Graph, pairs: list[tuple[int, int]], name: str) -> Graph:

@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from cliquedyn import charts as charts_mod
 from cliquedyn.charts import (
     Chart,
     ChartConflictError,
@@ -28,9 +29,15 @@ from cliquedyn.hexgrid import (
     gen_hex_patch,
 )
 from cliquedyn.generators import hex_torus
-from cliquedyn.graph import GraphError, closed_neighbourhood, induced_subgraph
+from cliquedyn.graph import Graph, GraphError, closed_neighbourhood, induced_subgraph
 from cliquedyn.isomorphism import induced_images
-from helpers import degree_seven_surface, genus2_surface, random_surgery_surface
+from cliquedyn.surface import edge_links, facets
+from helpers import (
+    degree_seven_surface,
+    genus2_surface,
+    random_surgery_surface,
+    reference_develop,
+)
 
 
 def interior_support(g, m, depth):
@@ -189,6 +196,69 @@ def test_single_direction_developments_agree(patch8):
             all(lone[apply_permutation(p, c)] == ext[add(c, d)] for c in delta_coords(4))
             for p in COORD_PERMUTATIONS
         )
+
+
+class CountingLinks(dict):
+    """A common-neighbour table that counts the lookups of pairs that are no
+    edge of the host."""
+
+    misses = 0
+
+    def get(self, pair, default=None):
+        self.misses += pair not in self
+        return super().get(pair, default)
+
+
+def test_table_development_matches_intersections(octa, icosa, t44, genus2, patch6, monkeypatch):
+    """Developing from the common-neighbour table accepts what the set
+    intersections accept, except across a base pair that is no edge: there
+    it stops, and the intersections' map, if any, is no induced triangle.
+    Such pairs arise on the curved hosts, genus 2 and the 7-regular surface;
+    on the octahedron and the icosahedron every development stops before it
+    meets one.  The chart lists agree."""
+    hosts = [octa, icosa, t44, genus2, degree_seven_surface(), patch6.graph]
+    misses = []
+    for host in hosts:
+        links = CountingLinks(edge_links(host))
+        monkeypatch.setattr(charts_mod, "edge_links", lambda g: links)
+        for m in (2, 3, 4):
+            corner, c1, c2 = (0, 0, m), (0, 1, m - 1), (1, 0, m - 1)
+            for a, b, c in facets(host):
+                for u, v, w in ((a, b, c), (b, a, c), (c, a, b)):
+                    anchor = {corner: u, c1: v, c2: w}
+                    got = charts_mod._develop(host, anchor, m)
+                    expected = reference_develop(host, anchor, m)
+                    if got != expected:
+                        assert got is None
+                        assert not charts_mod._is_induced_triangle(host, expected, m)
+        misses.append(links.misses)
+    monkeypatch.undo()
+    assert misses[3] and misses[4]
+    keys = [[ch.key() for ch in find_standard_charts(h, m)] for h in hosts for m in range(5)]
+    monkeypatch.setattr(charts_mod, "_develop", reference_develop)
+    fresh = [Graph(h.vertices, h.edges()) for h in hosts]
+    assert keys == [[ch.key() for ch in find_standard_charts(h, m)] for h in fresh for m in range(5)]
+
+
+def test_chart_core_matches_the_coordinate_filter(patch8, genus2):
+    """``core(d)`` reads a cached coordinate list of Δ_m; it is the image of
+    the domain coordinates whose least entry is at least d, on standard
+    charts and on their extensions."""
+    extended = 0
+    for host in (patch8.graph, genus2):
+        for m in (3, 4, 5):
+            for chart in find_standard_charts(host, m):
+                cases = [chart]
+                try:
+                    cases.append(extend_chart(host, chart))
+                except ChartError:
+                    pass
+                extended += len(cases) - 1
+                for case in cases:
+                    for d in (1, 2, 3):
+                        expected = frozenset(v for c, v in case.mapping.items() if min(c) >= d)
+                        assert case.core(d) == expected
+    assert extended > 0
 
 
 def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):

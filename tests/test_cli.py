@@ -415,6 +415,17 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, depth):
     assert any(word in err for word in named)
 
 
+def test_a_deeply_nested_vertex_is_named_briefly(tmp_path, capsys):
+    """A vertex entry nested 900 deep parses, and its error line quotes it
+    within 200 characters."""
+    graph = tmp_path / "g.json"
+    graph.write_text('{"vertices": [' + "[" * 900 + "]" * 900 + '], "edges": []}')
+    code, out, err = run(capsys, "analyze", str(graph))
+    assert (code, out) == (2, "")
+    assert "malformed graph object: vertices[0] = [[[" in err
+    assert max(len(line) for line in err.splitlines()) <= 200
+
+
 def test_iterate_an_edgeless_graph_deeper_than_the_recursion_limit(tmp_path, capsys):
     """Labeling 1200 isolated vertices individualises them one per level."""
     edgeless = tmp_path / "e.json"

@@ -23,7 +23,7 @@ from cliquedyn.geometric import (
     verify_geometric_equivalence,
 )
 from cliquedyn.cliques import max_cliques
-from cliquedyn.graph import closed_neighbourhood
+from cliquedyn.graph import Graph, closed_neighbourhood
 from cliquedyn.hexgrid import (
     OFFSETS_BY_GAP,
     add,
@@ -33,7 +33,12 @@ from cliquedyn.hexgrid import (
     sub,
 )
 from cliquedyn.surface import boundary_distance
-from helpers import degree_seven_surface, genus2_surface
+from helpers import (
+    degree_seven_surface,
+    genus2_surface,
+    random_surgery_surface,
+    reference_level_edges,
+)
 
 
 @functools.cache
@@ -474,6 +479,31 @@ def test_level_graph_serialisation_is_pinned(host, margin):
         for n in range(len(LEVEL_GRAPH_DIGESTS[host, margin]))
     ]
     assert got == LEVEL_GRAPH_DIGESTS[host, margin]
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        lambda: gen_hex_patch(16).graph,
+        lambda: cover_ball(genus2_surface, 8),
+        *(
+            lambda seed=seed: cover_ball(functools.partial(random_surgery_surface, seed), 7)
+            for seed in range(3)
+        ),
+    ],
+    ids=["hex_patch_16", "genus2_ball_8", "surgery0_ball_7", "surgery1_ball_7", "surgery2_ball_7"],
+)
+def test_least_vertex_index_matches_membership_scan(host):
+    """``build`` takes the candidates for a region from the charts whose
+    least vertex lies in it; the scan over every chart through a vertex of
+    the region gives the same serialised edge list, on the flat patch and
+    on cover balls with degree-7 vertices."""
+    g = host()
+    builder = GeoBuilder(g)
+    for n in range(6):
+        gg = builder.build(n)
+        expected = Graph(range(len(gg)), reference_level_edges(g, gg.charts))
+        assert list(gg.graph.edges()) == list(expected.edges())
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from cliquedyn.graph import Graph, GraphError
 from cliquedyn.hexgrid import gen_delta
 from cliquedyn.io import (
     edge_list_text,
+    graph_from_dict,
     graph_from_json,
     graph_to_json,
     parse_edge_list,
@@ -68,6 +69,31 @@ def test_malformed_json_raises():
 def test_malformed_entries_are_named(text, field):
     with pytest.raises(GraphError, match=re.escape(field)):
         graph_from_json(text)
+
+
+BULK = list(range(10_000))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: graph_from_dict({"vertices": [BULK], "edges": []}),
+        lambda: graph_from_dict({"vertices": [0, 1], "edges": [BULK]}),
+        lambda: graph_from_dict({"vertices": [0], "edges": [], "labels": BULK}),
+        lambda: graph_from_dict({"vertices": [0], "edges": [], "name": BULK}),
+        lambda: graph_from_dict({"vertices": [0], "edges": [], "labels": {"1" * 10_000: 1}}),
+        lambda: graph_from_json('{"' + "k" * 10_000 + '": 1, "' + "k" * 10_000 + '": 2}'),
+        lambda: Graph([BULK]),
+        lambda: Graph([0], [BULK]),
+        lambda: Graph([0], [(0, [BULK] * 100)]),
+    ],
+    ids=["vertex", "edge", "labels", "name", "label-key", "repeated-key", "id", "pair", "endpoint"],
+)
+def test_input_errors_quote_a_bulky_value_briefly(build):
+    """An error names the malformed entry without echoing all of it."""
+    with pytest.raises(GraphError) as info:
+        build()
+    assert len(str(info.value)) <= 200
 
 
 def test_edge_list_round_trip(octa):

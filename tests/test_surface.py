@@ -21,6 +21,7 @@ from cliquedyn.surface import (
     boundary_distance,
     classify_vertex,
     disc_discharge_check,
+    edge_links,
     facets,
     is_straight,
     maximal_straight_paths,
@@ -125,6 +126,21 @@ def test_facet_counts(octa, t44):
     assert len(facets(octa)) == 8
     assert len(facets(t44)) == 32
     assert facets(cycle_graph(6)) == []
+
+
+def test_facets_and_edge_links_are_computed_once(genus2):
+    """Both come from one common-neighbour table, memoised on the graph; the
+    facets are the triples (u, v, w) with u < v < w read from it."""
+    g = Graph(genus2.vertices, genus2.edges())
+    links = edge_links(g)
+    assert edge_links(g) is links and facets(g) is facets(g)
+    assert {frozenset(pair) for pair in links} == {frozenset(e) for e in g.edges()}
+    for (u, v), common in links.items():
+        assert set(common) == g.neighbors(u) & g.neighbors(v)
+    brute = sorted(
+        (u, v, w) for u, v in g.edges() for w in g.neighbors(u) & g.neighbors(v) if u < v < w
+    )
+    assert facets(g) == brute
 
 
 def _patch_walk(patch, coords):
