@@ -17,7 +17,7 @@ from .cliques import DEFAULT_VERTEX_BUDGET, clique_graph, iterate_k
 from .covers import CoverError, decide_finite, universal_cover_ball, validate_covering_map
 from .generators import hex_torus, icosahedron, octahedron
 from .geometric import GeoBuilder, verify_geometric_equivalence
-from .graph import GraphError
+from .graph import Graph, GraphError
 from .hexgrid import gen_delta, gen_hex_patch, gen_nabla
 from .isomorphism import BudgetError
 from .surface import validate_surface
@@ -152,6 +152,22 @@ def cmd_geometric(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _ball_from_json(text: str) -> tuple[Graph, dict[int, int]]:
+    """The source graph and the projection of a cover ball's JSON text."""
+    obj = gio.json_object(text)
+    for key in ("graph", "projection"):
+        if not isinstance(obj.get(key), dict):
+            raise GraphError(f"the ball has no {key!r} object")
+    source = gio.graph_from_dict(obj["graph"])
+    try:
+        projection = {gio.id_key(k): v for k, v in obj["projection"].items()}
+    except ValueError as exc:
+        raise GraphError(f"projection keys must be vertex ids; {exc}") from None
+    if any(type(v) is not int for v in projection.values()):
+        raise GraphError("projection values must be vertex ids")
+    return source, projection
+
+
 def cmd_cover(args) -> int:
     if args.action == "build":
         g = gio.load_graph(args.file)
@@ -160,28 +176,7 @@ def cmd_cover(args) -> int:
         return EXIT_OK
     if args.target is None:
         raise GraphError("cover validate requires --target, the base graph file")
-    with open(args.file) as fh:
-        try:
-            ball_obj = json.load(fh, object_pairs_hook=gio.unique_keys)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise GraphError(f"ball file {args.file} is not JSON: {exc}") from None
-        except GraphError as exc:
-            raise GraphError(f"ball file {args.file}: {exc}") from None
-    for key in ("graph", "projection"):
-        if not isinstance(ball_obj, dict) or not isinstance(ball_obj.get(key), dict):
-            raise GraphError(f"ball file {args.file} has no {key!r} object")
-    try:
-        source = gio.graph_from_dict(ball_obj["graph"])
-    except GraphError as exc:
-        raise GraphError(f"ball file {args.file}: {exc}") from None
-    try:
-        projection = {gio.id_key(k): v for k, v in ball_obj["projection"].items()}
-    except ValueError as exc:
-        raise GraphError(
-            f"ball file {args.file}: projection keys must be vertex ids; {exc}"
-        ) from None
-    if any(type(v) is not int for v in projection.values()):
-        raise GraphError(f"ball file {args.file}: projection values must be vertex ids")
+    source, projection = gio.read_file(args.file, "ball", _ball_from_json)
     target = gio.load_graph(args.target)
     try:
         report = validate_covering_map(projection, source, target)

@@ -9,6 +9,8 @@ Vertex ids are opaque integers; an id of any other type (``bool``,
 ``float`` and ``str`` included) is rejected, not converted.  Generator
 metadata (for example lattice coordinates) travels in the optional
 ``labels`` mapping, which every structural operation ignores.
+``Graph.__init__`` is the one checker of ids, edges and label keys, for every
+caller and file format; it names the first bad ``vertices[i]``, ``edges[i]`` or key.
 """
 
 from __future__ import annotations
@@ -51,31 +53,31 @@ class Graph:
         labels: Mapping[int, object] | None = None,
     ):
         vs = list(vertices)
-        for v in vs:
+        for i, v in enumerate(vs):
             if type(v) is not int:
-                raise GraphError(f"vertex id {brief_repr(v)} is not an integer")
-        vs = sorted(set(vs))
-        adj: dict[int, set[int]] = {v: set() for v in vs}
+                raise GraphError(f"vertices[{i}] = {brief_repr(v)} is not an integer id")
+        adj: dict[int, set[int]] = {v: set() for v in sorted(set(vs))}
         m = 0
-        for e in edges:
+        for i, e in enumerate(edges):
             try:
                 u, v = e
             except (TypeError, ValueError):
-                raise GraphError(f"edge {brief_repr(e)} is not a pair of vertex ids") from None
+                u = v = None
             if type(u) is not int or type(v) is not int:
-                raise GraphError(
-                    f"edge ({brief_repr(u)},{brief_repr(v)}) has an endpoint that is not an integer id"
-                )
+                raise GraphError(f"edges[{i}] = {brief_repr(e)} is not a pair of integer ids")
             if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
+                raise GraphError(f"edges[{i}] = {brief_repr(e)} is a self-loop")
             if u not in adj or v not in adj:
-                raise UnknownVertexError(f"edge ({u},{v}) uses an unknown vertex")
+                raise UnknownVertexError(f"edges[{i}] = {brief_repr(e)} uses an unknown vertex")
             if v not in adj[u]:
                 adj[u].add(v)
                 adj[v].add(u)
                 m += 1
+        for k in labels or ():
+            if type(k) is not int or k not in adj:
+                raise GraphError(f"labels key {brief_repr(str(k))} names no vertex")
         self._adj: dict[int, frozenset[int]] = {v: frozenset(ns) for v, ns in adj.items()}
-        self._vertices: tuple[int, ...] = tuple(vs)
+        self._vertices: tuple[int, ...] = tuple(adj)
         self._edge_count = m
         self.name = name
         self.labels = dict(labels) if labels else None

@@ -5,6 +5,12 @@ newline, edges in ``Graph.edges`` order), so regenerating any committed
 fixture the same way is bit-identical.  It is not canonical: two equal
 graphs built from their edges in different orders may serialise
 differently.
+
+Reading JSON checks only its syntax (arrays, canonical label keys, a string
+name); ``Graph.__init__`` is the one checker of ids, edges and label keys.
+Of several faults the first syntax fault (vertices, edges, labels, name) is
+named, else the first bad vertex, else edge, else label key.  ``read_file``
+reads every graph or ball file and names the file in each error it raises.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 from .graph import Graph, GraphError, brief_repr
 
@@ -34,39 +41,24 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_dict(obj: dict) -> Graph:
     """Build a graph from its JSON object, naming the first malformed entry."""
     try:
-        vertices = list(obj["vertices"])
-        edges = list(obj["edges"])
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph object: {exc}") from exc
-    for i, v in enumerate(vertices):
-        if type(v) is not int:
-            raise GraphError(
-                f"malformed graph object: vertices[{i}] = {brief_repr(v)} is not an integer id"
-            )
-    for i, e in enumerate(edges):
-        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
-            raise GraphError(
-                f"malformed graph object: edges[{i}] = {brief_repr(e)} is not an id pair"
-            )
-    labels = obj.get("labels") or None
-    if labels is not None:
+        for key in ("vertices", "edges"):
+            if not isinstance(obj.get(key), list):
+                raise GraphError(f"{key} = {brief_repr(obj.get(key))} is not an array")
+        labels = obj.get("labels", {})
         if not isinstance(labels, dict):
-            raise GraphError(
-                f"malformed graph object: labels = {brief_repr(labels)} is not an object"
-            )
+            raise GraphError(f"labels = {brief_repr(labels)} is not an object")
         try:
             labels = {id_key(k): _freeze_label(v) for k, v in labels.items()}
         except ValueError as exc:
-            raise GraphError(f"malformed graph object: labels {exc}") from None
+            raise GraphError(f"labels {exc}") from None
         except RecursionError:
-            raise GraphError("malformed graph object: labels nest too deeply") from None
-        stray = labels.keys() - set(vertices)
-        if stray:
-            raise GraphError(f"malformed graph object: labels key '{min(stray)}' names no vertex")
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        raise GraphError(f"malformed graph object: name = {brief_repr(name)} is not a string")
-    return Graph(vertices, edges, name=name, labels=labels)
+            raise GraphError("labels nest too deeply") from None
+        name = obj.get("name", "")
+        if not isinstance(name, str):
+            raise GraphError(f"name = {brief_repr(name)} is not a string")
+        return Graph(obj["vertices"], obj["edges"], name=name, labels=labels)
+    except GraphError as exc:
+        raise type(exc)(f"malformed graph object: {exc}") from None
 
 
 def id_key(key: str) -> int:
@@ -99,14 +91,19 @@ def _freeze_label(value):
     return value
 
 
-def graph_from_json(text: str) -> Graph:
+def json_object(text: str) -> dict:
+    """The JSON object ``text`` spells, with no key repeated (``unique_keys``)."""
     try:
         obj = json.loads(text, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise GraphError(f"invalid JSON: {exc}") from exc
+        raise GraphError(f"text is not JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise GraphError("graph JSON must be an object")
-    return graph_from_dict(obj)
+        raise GraphError("text is not a JSON object")
+    return obj
+
+
+def graph_from_json(text: str) -> Graph:
+    return graph_from_dict(json_object(text))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -165,13 +162,18 @@ def to_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_file(path: str | Path, kind: str, parse: Callable[[str], object]):
+    """``parse`` of the text in the file at ``path``; each input error it
+    raises names the file as ``{kind} file {path}``."""
+    try:
+        return parse(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{kind} file {path} is not UTF-8 text: {exc}") from None
+    except GraphError as exc:
+        raise type(exc)(f"{kind} file {path}: {exc}") from None
+
+
 def load_graph(path: str | Path) -> Graph:
     """Load a graph from a ``.json`` or edge-list file, by extension."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"graph file {path} is not UTF-8 text: {exc}") from None
-    if p.suffix == ".json":
-        return graph_from_json(text)
-    return parse_edge_list(text)
+    parse = graph_from_json if Path(path).suffix == ".json" else parse_edge_list
+    return read_file(path, "graph", parse)

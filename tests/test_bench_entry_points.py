@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from cliquedyn import surface
+from cliquedyn import cli, surface
+from cliquedyn import io as gio
 from cliquedyn.geometric import GeoBuilder
 from cliquedyn.hexgrid import gen_hex_patch
 
@@ -82,3 +83,25 @@ def test_classify_vertex_reads_its_link_through_induced_subgraph(monkeypatch, t4
     monkeypatch.setattr(surface, "induced_subgraph", counted)
     assert surface.classify_vertex(t44, 0).is_inner
     assert len(calls) >= 1 and calls[0] == t44.neighbors(0)
+
+
+def test_decide_and_cover_validate_read_through_the_traced_io_spans(monkeypatch, tmp_path, t44):
+    """``io.load_graph`` and ``io.graph_from_dict`` are required
+    ``cover-decide`` spans: ``decide`` on a ``.json`` file and ``cover
+    validate`` must each call both."""
+    torus, ball = tmp_path / "t.json", tmp_path / "ball.json"
+    torus.write_text(gio.graph_to_json(t44))
+    assert cli.main(["cover", "build", str(torus), "--radius", "2", "--out", str(ball)]) == 0
+    calls = Counter()
+    for name in ("load_graph", "graph_from_dict"):
+        real = getattr(gio, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(gio, name, counted)
+    for argv in (["decide", str(torus)], ["cover", "validate", str(ball), "--target", str(torus)]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls["load_graph"] >= 1 and calls["graph_from_dict"] >= 1, argv

@@ -68,17 +68,24 @@ def test_generate_names_a_non_integer_parameter(capsys, argv):
         ('{"vertices":[0],"edges":[],"labels":{"5":"x"}}', "labels key '5' names no vertex"),
         ('{"vertices":[0,1],"edges":[[0,1,2]]}', "edges[0] = [0, 1, 2]"),
         ('{"vertices":[0,1],"edges":[null]}', "edges[0] = None"),
-        # a bad vertex is named before a bad edge, a bad edge before bad
-        # labels, and bad labels before a self-loop or an unknown vertex
+        ('{"vertices":[0],"edges":[[0,0]]}', "edges[0] = [0, 0] is a self-loop"),
+        ('{"vertices":[0],"edges":[[0,5]]}', "edges[0] = [0, 5] uses an unknown vertex"),
+        # labels is absent or an object: no falsy value stands for "no labels"
+        ('{"vertices":[0],"edges":[],"labels":0}', "labels = 0 is not an object"),
+        ('{"vertices":[0],"edges":[],"labels":[]}', "labels = [] is not an object"),
+        ('{"vertices":[0],"edges":[],"labels":""}', "labels = '' is not an object"),
+        ('{"vertices":[0],"edges":[],"labels":false}', "labels = False is not an object"),
+        # JSON syntax (bad labels, then a bad name) is named before a bad
+        # vertex, a bad vertex before a bad edge, and a bad edge before a
+        # label key that names no vertex
         ('{"vertices":[0,"a"],"edges":[[0]]}', "vertices[1]"),
-        ('{"vertices":[0,1],"edges":[[0,1],[0]],"labels":{"a":1}}', "edges[1] = [0]"),
+        ('{"vertices":[0,1],"edges":[[0,1],[0]],"labels":{"a":1}}', "labels key 'a'"),
         ('{"vertices":[0],"edges":[[0,0]],"labels":{"a":1}}', "labels key 'a'"),
         ('{"vertices":[0],"edges":[[0,5]],"labels":[1]}', "labels = [1]"),
-        ('{"vertices":[0],"edges":[[0,0]],"labels":{"5":1}}', "labels key '5' names no vertex"),
+        ('{"vertices":[0],"edges":[[0,0]],"labels":{"5":1}}', "edges[0] = [0, 0] is a self-loop"),
         ('{"vertices":[0,1,2],"edges":[[0,1],[1,2]],"name":5}', "name = 5 is not a string"),
-        # bad labels are named before a bad name
         ('{"vertices":[0],"edges":[],"labels":[1],"name":5}', "labels = [1]"),
-        ('{"vertices":[0,1],"edges":[],"labels":{"1":1,"5":1},"name":5}', "labels key '5'"),
+        ('{"vertices":[0,1],"edges":[],"labels":{"1":1,"5":1},"name":5}', "name = 5"),
     ],
 )
 def test_malformed_graph_file_exits_2(tmp_path, capsys, text, field):
@@ -347,6 +354,26 @@ def test_cover_validate_names_a_malformed_ball(tmp_path, capsys, edit, message):
     assert code == 2 and message in err and f"ball file {ball}" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"vertices": [0, 1], "edges": [[0, 1]', "text is not JSON"),
+        ('{"vertices": [0], "edges": [], "vertices": [1]}', "repeated key 'vertices'"),
+        ('{"vertices": [0], "edges": [[0, 0]]}', "malformed graph object: edges[0]"),
+    ],
+)
+def test_cover_validate_names_a_malformed_target(tmp_path, capsys, text, message):
+    """An error in the target graph names the target, not the ball."""
+    torus = tmp_path / "t.json"
+    ball = tmp_path / "ball.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    run(capsys, "cover", "build", str(torus), "--radius", "2", "--out", str(ball))
+    target = tmp_path / "bad.json"
+    target.write_text(text)
+    code, out, err = run(capsys, "cover", "validate", str(ball), "--target", str(target))
+    assert (code, out) == (2, "") and err.startswith(f"error: graph file {target}: {message}")
+
+
 def test_cover_validate_requires_target(tmp_path, capsys):
     torus = tmp_path / "t.json"
     ball = tmp_path / "ball.json"
@@ -392,7 +419,7 @@ def test_undecodable_files_are_named(tmp_path, capsys):
         code, _, err = run(capsys, "analyze", str(bad))
         assert code == 2 and f"error: graph file {bad} is not UTF-8 text" in err
     code, _, err = run(capsys, "cover", "validate", str(bad), "--target", str(torus))
-    assert code == 2 and f"error: ball file {bad} is not JSON" in err
+    assert code == 2 and f"error: ball file {bad} is not UTF-8 text" in err
 
 
 @pytest.mark.parametrize("depth", [900, 100_000])

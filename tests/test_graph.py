@@ -39,11 +39,11 @@ def test_graph_rejects_self_loops_and_unknown_endpoints():
 @pytest.mark.parametrize(
     "vertices, edges, message",
     [
-        ([0, 1.5], [(0, 1.5)], "vertex id 1.5 is not an integer"),
-        (["0", "1"], [("0", 1)], "vertex id '0' is not an integer"),
-        ([True, 2], [(True, 2)], "vertex id True is not an integer"),
-        ([0, 1], [(0, 1.0)], "edge (0,1.0) has an endpoint that is not an integer id"),
-        ([1, 2], [(True, 2)], "edge (True,2) has an endpoint that is not an integer id"),
+        ([0, 1.5], [(0, 1.5)], "vertices[1] = 1.5 is not an integer id"),
+        (["0", "1"], [("0", 1)], "vertices[0] = '0' is not an integer id"),
+        ([True, 2], [(True, 2)], "vertices[0] = True is not an integer id"),
+        ([0, 1], [(0, 1.0)], "edges[0] = (0, 1.0) is not a pair of integer ids"),
+        ([1, 2], [(True, 2)], "edges[0] = (True, 2) is not a pair of integer ids"),
     ],
 )
 def test_graph_rejects_ids_that_are_not_ints(vertices, edges, message):
@@ -56,14 +56,30 @@ def test_graph_rejects_ids_that_are_not_ints(vertices, edges, message):
 @pytest.mark.parametrize(
     "vertices, edges, message",
     [
-        ([1], [(1,)], "edge (1,) is not a pair of vertex ids"),
-        ([1, 2], [(1, 2, 3)], "edge (1, 2, 3) is not a pair of vertex ids"),
-        ([1], [1], "edge 1 is not a pair of vertex ids"),
+        ([1], [(1,)], "edges[0] = (1,) is not a pair of integer ids"),
+        ([1, 2], [(1, 2, 3)], "edges[0] = (1, 2, 3) is not a pair of integer ids"),
+        ([1], [1], "edges[0] = 1 is not a pair of integer ids"),
     ],
 )
 def test_graph_names_a_malformed_edge(vertices, edges, message):
     with pytest.raises(GraphError) as info:
         Graph(vertices, edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, labels, message",
+    [
+        ([(0, 1), (1, 1)], None, "edges[1] = (1, 1) is a self-loop"),
+        ([(0, 1), (2, 0)], None, "edges[1] = (2, 0) uses an unknown vertex"),
+        ([(0, 1)], {0: "a", 2: "b"}, "labels key '2' names no vertex"),
+        ([(0, 1)], {"0": "a"}, "labels key '0' names no vertex"),
+        ([(0, 1)], {True: "a"}, "labels key 'True' names no vertex"),
+    ],
+)
+def test_graph_names_a_bad_edge_or_label_key(edges, labels, message):
+    with pytest.raises(GraphError) as info:
+        Graph([0, 1], edges, labels=labels)
     assert str(info.value) == message
 
 

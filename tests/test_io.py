@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquedyn.graph import Graph, GraphError
 from cliquedyn.hexgrid import gen_delta
@@ -54,6 +57,10 @@ def test_malformed_json_raises():
         ('{"vertices": [0], "edges": [], "labels": {" 0 ": 1}}', "labels key ' 0 '"),
         ('{"vertices": [0], "edges": [], "labels": {"-0": 1}}', "labels key '-0'"),
         ('{"vertices": [0], "edges": [], "labels": [1]}', "labels = [1]"),
+        ('{"vertices": [0], "edges": [], "labels": 0}', "labels = 0 is not an object"),
+        ('{"vertices": [0], "edges": [], "labels": []}', "labels = [] is not an object"),
+        ('{"vertices": [0], "edges": [], "labels": ""}', "labels = '' is not an object"),
+        ('{"vertices": [0], "edges": [], "labels": false}', "labels = False is not an object"),
         ('{"vertices": [0], "edges": [], "labels": {"5": "x"}}', "labels key '5' names no vertex"),
         ('{"vertices": [0, 2], "edges": [], "labels": {"2": 1, "1": 1}}', "labels key '1' names"),
         # plain json keeps the last of two equal keys, silently losing the first
@@ -69,6 +76,49 @@ def test_malformed_json_raises():
 def test_malformed_entries_are_named(text, field):
     with pytest.raises(GraphError, match=re.escape(field)):
         graph_from_json(text)
+
+
+SMALL_IDS = st.integers(-2, 5)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_IDS | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# id lists and lists of id pairs, some with arbitrary JSON values mixed in
+ID_LISTS = st.lists(SMALL_IDS, max_size=8) | st.lists(SMALL_IDS | JSON_VALUES, max_size=6)
+ID_PAIRS = st.lists(SMALL_IDS, min_size=2, max_size=2)
+EDGE_LISTS = st.lists(ID_PAIRS, max_size=6) | st.lists(ID_PAIRS | JSON_VALUES, max_size=6)
+LABELS = st.dictionaries(SMALL_IDS.map(str) | st.text(max_size=3), JSON_VALUES, max_size=3)
+FIELDS = {
+    "vertices": ID_LISTS | JSON_VALUES,
+    "edges": EDGE_LISTS | JSON_VALUES,
+    "labels": LABELS | JSON_VALUES,
+    "name": st.text(max_size=4) | JSON_VALUES,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({}, optional=FIELDS))
+def test_the_json_reader_raises_only_short_graph_errors(obj):
+    try:
+        graph_from_json(json.dumps(obj))
+    except GraphError as exc:
+        assert len(str(exc)) <= 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(ID_LISTS, EDGE_LISTS)
+def test_the_dict_reader_agrees_with_the_model(vertices, edges):
+    """Vertex and edge lists are checked by ``Graph`` alone."""
+    try:
+        expected = Graph(vertices, edges)
+    except GraphError:
+        expected = None
+    try:
+        got = graph_from_dict({"vertices": vertices, "edges": edges})
+    except GraphError:
+        got = None
+    assert got == expected
 
 
 BULK = list(range(10_000))
