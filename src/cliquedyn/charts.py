@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graph import Graph, GraphError, closed_neighbourhood
+from .graph import Graph, GraphError, closed_neighbourhood, memoised
 from .hexgrid import (
     UNIT_STEPS,
     Coord,
@@ -165,23 +165,16 @@ def _is_induced_triangle(g: Graph, mapping: dict[Coord, int], m: int) -> bool:
     return sum(len(g.neighbors(v) & image) for v in image) == 3 * m * (m + 1)
 
 
-def find_standard_charts(g: Graph, m: int) -> list[Chart]:
+@memoised
+def find_standard_charts(g: Graph, m: int, /) -> list[Chart]:
     """One chart per induced side-m triangle of g, sorted by ``Chart.key``.
 
     Each triangle's chart is the least of its charts in key order: the
     least corner sits at (0, 0, m) and its smaller triangle neighbour at
     (0, 1, m-1).  The triangle's other charts are this one recomposed
-    with the coordinate permutations of the domain.
-
-    Computed once per graph and side length; the returned list is shared,
-    so callers must not modify it."""
-    key = f"charts:{m}"
-    if key in g._memo:
-        return g._memo[key]
+    with the coordinate permutations of the domain."""
     if m == 0:
-        charts = [Chart(0, {(0, 0, 0): v}) for v in g.vertices]
-        g._memo[key] = charts
-        return charts
+        return [Chart(0, {(0, 0, 0): v}) for v in g.vertices]
     _require_patch_surface(g)
     charts = []
     corner, c1, c2 = (0, 0, m), (0, 1, m - 1), (1, 0, m - 1)
@@ -197,7 +190,6 @@ def find_standard_charts(g: Graph, m: int) -> list[Chart]:
             if _is_induced_triangle(g, mapping, m):
                 charts.append(Chart(m, mapping))
     charts.sort(key=Chart.key)
-    g._memo[key] = charts
     return charts
 
 

@@ -155,6 +155,7 @@ def cmd_geometric(args) -> int:
 def _ball_from_json(text: str) -> tuple[Graph, dict[int, int]]:
     """The source graph and the projection of a cover ball's JSON text."""
     obj = gio.json_object(text)
+    del text  # the graph is built without the file text held alive
     for key in ("graph", "projection"):
         if not isinstance(obj.get(key), dict):
             raise GraphError(f"the ball has no {key!r} object")

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from .charts import find_standard_charts
 from .graph import Graph, GraphError, induced_subgraph
 from .io import graph_to_dict
-from .surface import classify_vertex, validate_surface
+from .surface import classify_vertex, edge_links, validate_surface
 
 
 class CoverError(GraphError):
@@ -74,7 +74,7 @@ class _Unfolding:
     lift's exact graph distance from the base lift."""
 
     def __init__(self, g: Graph):
-        self.g = g
+        self.links = edge_links(g)  # base edge -> its facet thirds
         self.base: list[int] = []  # lift -> base vertex
         self.arc: list[dict[int, int]] = []  # lift -> base neighbour -> lift
         self.dist: list[int] = []
@@ -82,7 +82,6 @@ class _Unfolding:
         # No edge gets a third facet: a base edge has two facet thirds, and
         # set_slot refuses a second lift in a slot, so add_facet can toggle.
         self.open: dict[tuple[int, int], int] = {}
-        self.thirds: dict[tuple[int, int], list[int]] = {}  # base edge -> its facet thirds
 
     def new_lift(self, base_v: int, dist: int) -> int:
         self.base.append(base_v)
@@ -115,12 +114,9 @@ class _Unfolding:
         if seen_lift is None:
             return
         a, b = self.base[la], self.base[lb]
-        thirds = self.thirds.get((a, b))
-        if thirds is None:
-            thirds = sorted(self.g.neighbors(a) & self.g.neighbors(b))
-            if len(thirds) != 2:
-                raise CoverError(f"base edge ({a},{b}) does not lie in two facets")
-            self.thirds[(a, b)] = thirds
+        thirds = self.links[a, b]
+        if len(thirds) != 2:
+            raise CoverError(f"base edge ({a},{b}) does not lie in two facets")
         c = thirds[0] if thirds[1] == self.base[seen_lift] else thirds[1]
         lc_a = self.arc[la].get(c)
         lc_b = self.arc[lb].get(c)
@@ -149,7 +145,7 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
         raise CoverError(f"cover unfolding needs minimum degree 6, got {report.min_degree}")
 
     a = min(g.neighbors(base))
-    seed = (base, a, min(g.neighbors(base) & g.neighbors(a)))
+    seed = (base, a, min(edge_links(g)[base, a]))
     unf = _Unfolding(g)
     for v in seed:
         unf.new_lift(v, 0 if v == base else 1)

@@ -45,7 +45,7 @@ from .graph import (
     induced_subgraph,
 )
 from .hexgrid import BASIS
-from .surface import SurfaceReport, facets, validate_surface
+from .surface import facets, validate_surface
 
 
 class GeoError(GraphError):
@@ -107,11 +107,9 @@ class GeoBuilder:
 
     def __init__(self, host: Graph):
         self.host = host
-        self.report: SurfaceReport = validate_surface(host)
-        if self.report.invalid_vertices:
-            raise GeoError(
-                f"host vertex {self.report.invalid_vertices[0]} has no cyclic or path neighbourhood"
-            )
+        invalid = validate_surface(host).invalid_vertices
+        if invalid:
+            raise GeoError(f"host vertex {invalid[0]} has no cyclic or path neighbourhood")
 
     def build(self, n: int, margin: int = 0) -> GeoGraph:
         if n < 0 or margin < 0:
@@ -332,7 +330,7 @@ def verify_geometric_equivalence(
         margin = n + 3
     if margin < n + 3:
         raise GeoMarginError(f"margin {margin} is below the safe bound {n + 3}")
-    report = builder.report
+    report = validate_surface(host)
     if report.boundary.n == 0:
         raise GeoError("host must be a bounded patch")
     euler = host.n - host.edge_count + len(facets(host))

@@ -2,9 +2,10 @@
 
 Graphs are frozen after construction and all operations here are pure
 functions, so values can be shared freely.  Data derived from a graph's
-structure alone is memoised on the graph itself, since it can never go
-stale: connectivity, the surface report, the edge links and facets,
-boundary distances, chart lists and the canonical order.
+structure alone can never go stale, so it is kept on the graph itself, and
+``memoised`` is the one way to keep it: connectivity, the hash, the surface
+report, the edge links and facets, boundary distances, chart lists and the
+canonical order.
 Vertex ids are opaque integers; an id of any other type (``bool``,
 ``float`` and ``str`` included) is rejected, not converted.  Generator
 metadata (for example lattice coordinates) travels in the optional
@@ -15,8 +16,9 @@ caller and file format; it names the first bad ``vertices[i]``, ``edges[i]`` or 
 
 from __future__ import annotations
 
+import functools
 import reprlib
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class GraphError(ValueError):
@@ -40,10 +42,31 @@ class _BriefRepr(reprlib.Repr):
 brief_repr = _BriefRepr().repr
 
 
+def memoised(derive: Callable) -> Callable:
+    """``derive(g, *args)``, computed once per graph and positional
+    arguments and stored on ``g``; the stored value is shared, so callers
+    must not modify it.  Keyword arguments bound the work (a budget), do not
+    change the value and are not part of the key, so a later call returns
+    the stored value without checking them again.  A call that raises
+    stores nothing."""
+
+    @functools.wraps(derive)
+    def lookup(g, *args, **bounds):
+        key = (derive, *args) if args else derive
+        try:
+            return g._memo[key]
+        except KeyError:
+            pass  # derived outside the handler, so its errors carry no KeyError context
+        value = g._memo[key] = derive(g, *args, **bounds)
+        return value
+
+    return lookup
+
+
 class Graph:
     """A finite undirected simple graph."""
 
-    __slots__ = ("name", "labels", "_adj", "_vertices", "_edge_count", "_hash", "_memo")
+    __slots__ = ("name", "labels", "_adj", "_vertices", "_edge_count", "_memo")
 
     def __init__(
         self,
@@ -81,9 +104,7 @@ class Graph:
         self._edge_count = m
         self.name = name
         self.labels = dict(labels) if labels else None
-        self._hash: int | None = None
-        # derived data computed once per graph, keyed by the deriving function
-        self._memo: dict[str, object] = {}
+        self._memo: dict[object, object] = {}  # see ``memoised``
 
     # -- basic accessors -------------------------------------------------
 
@@ -139,17 +160,16 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
+    @memoised
     def is_connected(self) -> bool:
-        if "connected" not in self._memo:
-            seen = set(self._vertices[:1])
-            stack = list(seen)
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            self._memo["connected"] = len(seen) == len(self._vertices)
-        return self._memo["connected"]
+        seen = set(self._vertices[:1])
+        stack = list(seen)
+        while stack:
+            for w in self._adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(self._vertices)
 
     # -- structural equality (name and labels excluded) -------------------
 
@@ -158,10 +178,9 @@ class Graph:
             return NotImplemented
         return self._vertices == other._vertices and self._adj == other._adj
 
+    @memoised
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._vertices, tuple(sorted(self.edges()))))
-        return self._hash
+        return hash((self._vertices, tuple(sorted(self.edges()))))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -190,7 +209,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     h.labels = None
     if labels:
         h.labels = {v: labels[v] for v in h._vertices if v in labels} or None
-    h._hash = None
     h._memo = {}
     return h
 

@@ -103,12 +103,14 @@ def json_object(text: str) -> dict:
 
 
 def graph_from_json(text: str) -> Graph:
-    return graph_from_dict(json_object(text))
+    obj = json_object(text)
+    del text  # the graph is built without the file text held alive
+    return graph_from_dict(obj)
 
 
 def parse_edge_list(text: str) -> Graph:
     """One ``u v`` pair per line; lines with a single token declare an
-    isolated vertex; ``#`` starts a comment."""
+    isolated vertex; ``#`` starts a comment.  A self-loop is named by its line."""
     vertices: set[int] = set()
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -123,6 +125,8 @@ def parse_edge_list(text: str) -> Graph:
         if len(nums) == 1:
             vertices.add(nums[0])
         elif len(nums) == 2:
+            if nums[0] == nums[1]:
+                raise GraphError(f"line {lineno}: self-loop at vertex {nums[0]}")
             vertices.update(nums)
             edges.append((nums[0], nums[1]))
         else:

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from itertools import chain
 from typing import Iterator
 
-from .graph import Graph
+from .graph import Graph, memoised
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -312,26 +312,20 @@ class _CanonSearch:
         return False
 
 
-def canonical_order(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+@memoised
+def canonical_order(g: Graph, *, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
     """A canonical vertex ordering: isomorphic graphs produce orderings under
-    which their relabelled edge sets coincide.
-
-    Computed once per graph; a later call returns the stored order without
-    checking ``budget`` again."""
-    if "canonical_order" in g._memo:
-        return g._memo["canonical_order"]
+    which their relabelled edge sets coincide."""
     verts = g.vertices
     idx = {v: i for i, v in enumerate(verts)}
     adj = [[idx[w] for w in g.neighbors(v)] for v in verts]
     if not verts:
         return ()
-    order = tuple(verts[i] for i in _CanonSearch(adj, budget).run())
-    g._memo["canonical_order"] = order
-    return order
+    return tuple(verts[i] for i in _CanonSearch(adj, budget).run())
 
 
 def canonical_key(g: Graph, budget: int = DEFAULT_BUDGET) -> bytes:
-    order = canonical_order(g, budget)
+    order = canonical_order(g, budget=budget)
     pos = {v: i for i, v in enumerate(order)}
     edges = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges())
     payload = f"{g.n};" + ",".join(f"{u}-{v}" for u, v in edges)

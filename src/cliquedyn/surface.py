@@ -13,7 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .graph import Graph, GraphError, UnknownVertexError, induced_subgraph
+from .graph import Graph, GraphError, UnknownVertexError, induced_subgraph, memoised
 
 INNER = "inner"
 BOUNDARY = "boundary"
@@ -92,31 +92,23 @@ def edge_facets(fs: Sequence[tuple[int, int, int]]) -> dict[frozenset[int], list
     return held
 
 
+@memoised
 def edge_links(g: Graph) -> dict[tuple[int, int], tuple[int, ...]]:
     """Each edge, in both directions (u, v) and (v, u), mapped to the common
-    neighbours of its ends: a pair is a key exactly when it is an edge.
-
-    Computed once per graph; the returned mapping is shared, so callers
-    must not modify it."""
-    if "edge_links" in g._memo:
-        return g._memo["edge_links"]
+    neighbours of its ends: a pair is a key exactly when it is an edge."""
     links: dict[tuple[int, int], tuple[int, ...]] = {}
     for u, v in g.edges():
         links[u, v] = links[v, u] = tuple(g.neighbors(u) & g.neighbors(v))
-    g._memo["edge_links"] = links
     return links
 
 
+@memoised
 def facets(g: Graph) -> list[tuple[int, int, int]]:
-    """All vertex triples inducing a 3-circle, each once, sorted.
-
-    Computed once per graph from ``edge_links``; the returned list is
-    shared, so callers must not modify it."""
-    if "facets" not in g._memo:
-        g._memo["facets"] = sorted(
-            (u, v, w) for (u, v), ws in edge_links(g).items() if u < v for w in ws if w > v
-        )
-    return g._memo["facets"]
+    """All vertex triples inducing a 3-circle, each once, sorted, read from
+    ``edge_links``."""
+    return sorted(
+        (u, v, w) for (u, v), ws in edge_links(g).items() if u < v for w in ws if w > v
+    )
 
 
 @dataclass(frozen=True)
@@ -139,6 +131,7 @@ class SurfaceReport:
         }
 
 
+@memoised
 def validate_surface(g: Graph) -> SurfaceReport:
     """Classify every vertex and assemble the boundary graph.
 
@@ -146,10 +139,7 @@ def validate_surface(g: Graph) -> SurfaceReport:
     whose endpoints have fewer than two common neighbours.  The graph is
     locally cyclic iff it is not empty, the boundary is empty and no vertex
     is invalid.
-    The report is computed once per graph and shared by later calls.
     """
-    if "surface" in g._memo:
-        return g._memo["surface"]
     if not g.is_connected():
         raise SurfaceError("disconnected input")
     classes = {v: classify_vertex(g, v) for v in g.vertices}
@@ -169,7 +159,7 @@ def validate_surface(g: Graph) -> SurfaceReport:
         boundary_vertices.update((u, v))
     boundary = Graph(boundary_vertices, boundary_edges)
     locally_cyclic = g.n > 0 and not invalid and boundary.n == 0 and not boundary_edges
-    report = SurfaceReport(
+    return SurfaceReport(
         is_locally_cyclic=locally_cyclic,
         boundary=boundary,
         min_degree=g.min_degree(),
@@ -177,17 +167,11 @@ def validate_surface(g: Graph) -> SurfaceReport:
         invalid_vertices=invalid,
         classes=classes,
     )
-    g._memo["surface"] = report
-    return report
 
 
+@memoised
 def boundary_distance(g: Graph) -> dict[int, float]:
-    """Graph distance to the nearest boundary vertex (inf when boundary empty).
-
-    Computed once per graph; the returned mapping is shared, so callers
-    must not modify it."""
-    if "boundary_distance" in g._memo:
-        return g._memo["boundary_distance"]
+    """Graph distance to the nearest boundary vertex (inf when boundary empty)."""
     dist: dict[int, float] = {v: float("inf") for v in g.vertices}
     queue: deque[int] = deque()
     for v in validate_surface(g).boundary.vertices:
@@ -199,7 +183,6 @@ def boundary_distance(g: Graph) -> dict[int, float]:
             if dist[w] == float("inf"):
                 dist[w] = dist[u] + 1
                 queue.append(w)
-    g._memo["boundary_distance"] = dist
     return dist
 
 

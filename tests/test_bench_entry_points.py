@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquedyn import cli, surface
+from cliquedyn import charts, cli, surface
 from cliquedyn import io as gio
 from cliquedyn.geometric import GeoBuilder
 from cliquedyn.hexgrid import gen_hex_patch
@@ -105,3 +105,26 @@ def test_decide_and_cover_validate_read_through_the_traced_io_spans(monkeypatch,
         calls.clear()
         assert cli.main(argv) == 0
         assert calls["load_graph"] >= 1 and calls["graph_from_dict"] >= 1, argv
+
+
+def test_memoised_entry_points_count_every_call(monkeypatch, tracer):
+    """Memoised entry points stay module attributes under their own names,
+    so the tracer wraps them, and a memo hit still counts as a call."""
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "cliquedyn"]
+    for mod in package:
+        for key, value in list(vars(mod).items()):
+            monkeypatch.setattr(mod, key, value)  # restored after the test
+    for module, path, _span, _hook in tracer.ENTRY_POINTS:
+        owner = importlib.import_module(module)
+        *classes, attr = path.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    spans = tracer.Tracer()
+    spans.install()
+    g = gen_hex_patch(3).graph
+    assert charts.find_standard_charts(g, 3) is charts.find_standard_charts(g, 3)
+    assert spans.totals["charts.find_standard_charts.m3"][0] == 2
+    counted = spans.totals["surface.validate_surface"][0]
+    assert surface.validate_surface(g) is surface.validate_surface(g)
+    assert spans.totals["surface.validate_surface"][0] == counted + 2

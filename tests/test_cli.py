@@ -422,6 +422,14 @@ def test_undecodable_files_are_named(tmp_path, capsys):
     assert code == 2 and f"error: ball file {bad} is not UTF-8 text" in err
 
 
+def test_edge_list_self_loop_is_named_by_its_line(tmp_path, capsys):
+    loop = tmp_path / "sl.txt"
+    loop.write_text("0 1\n# c\n1 1\n")
+    code, out, err = run(capsys, "analyze", str(loop))
+    assert (code, out) == (2, "")
+    assert err == f"error: graph file {loop}: line 3: self-loop at vertex 1\n"
+
+
 @pytest.mark.parametrize("depth", [900, 100_000])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, depth):
     """A label nested ``depth`` deep is an input error, not a crash, in a

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from cliquedyn import charts
+from cliquedyn.charts import find_standard_charts
 from cliquedyn.graph import (
     Graph,
     GraphError,
@@ -12,8 +14,13 @@ from cliquedyn.graph import (
     induced_subgraph,
 )
 from cliquedyn.hexgrid import gen_delta, gen_hex_patch
+from cliquedyn.isomorphism import BudgetError, canonical_order
 from cliquedyn.surface import SurfaceError, boundary_distance, facets, validate_surface
 from helpers import complete_graph, cycle_graph
+
+# memo keys: the deriving functions that ``memoised`` wraps
+CONNECTED = Graph.is_connected.__wrapped__
+SURFACE = validate_surface.__wrapped__
 
 
 def small_graphs():
@@ -139,8 +146,8 @@ def test_induced_subgraph_keeps_labels_and_memo_apart():
     assert h == _regular_induced(g, hood) and h.labels == {v: g.labels[v] for v in hood}
     assert h._memo == {} and h._memo is not g._memo
     before = dict(g._memo)
-    assert validate_surface(h) is not before["surface"]
-    assert g._memo == before and set(h._memo) == {"connected", "surface"}
+    assert validate_surface(h) is not before[SURFACE]
+    assert g._memo == before and set(h._memo) == {CONNECTED, SURFACE}
     assert induced_subgraph(complete_graph(3), [0, 1]).labels is None
     unlabelled = induced_subgraph(Graph(range(3), [(0, 1)], labels={2: "x"}), [0, 1])
     assert unlabelled.labels is None and unlabelled == Graph([0, 1], [(0, 1)])
@@ -152,15 +159,58 @@ def test_connectivity_is_computed_once_per_graph():
     """``decide_finite`` gates on connectivity and ``validate_surface``
     checks it again; both read the graph's one memoised answer."""
     g = gen_hex_patch(2).graph
-    assert "connected" not in g._memo
-    assert g.is_connected() and g._memo["connected"] is True
-    g._memo["connected"] = False  # a stale answer shows that it is read back
+    assert CONNECTED not in g._memo
+    assert g.is_connected() and g._memo[CONNECTED] is True
+    g._memo[CONNECTED] = False  # a stale answer shows that it is read back
     assert not g.is_connected()
     with pytest.raises(SurfaceError, match="disconnected input"):
         validate_surface(g)
     split = Graph(range(4), [(0, 1), (2, 3)])
-    assert not split.is_connected() and split._memo["connected"] is False
+    assert not split.is_connected() and split._memo[CONNECTED] is False
     assert Graph([]).is_connected()
+
+
+def test_a_memoised_derivation_runs_once_per_graph_and_argument(monkeypatch):
+    """Each side length m has its own chart list; every call after the first
+    reads it back.  Each run with m >= 1 reads the facets once."""
+    runs = []
+    real = charts.facets
+    monkeypatch.setattr(charts, "facets", lambda g: runs.append(g) or real(g))
+    g = gen_hex_patch(3).graph
+    twos, threes = find_standard_charts(g, 2), find_standard_charts(g, 3)
+    assert find_standard_charts(g, 2) is twos and find_standard_charts(g, 3) is threes
+    assert len(twos) != len(threes) and len(runs) == 2
+    derive = find_standard_charts.__wrapped__
+    assert g._memo[derive, 2] is twos and g._memo[derive, 3] is threes
+    fresh = gen_hex_patch(3).graph
+    assert [ch.key() for ch in find_standard_charts(fresh, 2)] == [ch.key() for ch in twos]
+    assert len(runs) == 3
+
+
+def test_a_raising_derivation_stores_nothing():
+    split = Graph(range(4), [(0, 1), (2, 3)])
+    for _ in range(2):
+        with pytest.raises(SurfaceError, match="disconnected input"):
+            validate_surface(split)
+    assert set(split._memo) == {CONNECTED}
+
+
+def test_keyword_bounds_are_not_part_of_the_memo_key():
+    """A budget bounds the work, not the value: once the order is stored,
+    a budget that could not have found it is not checked."""
+    g = gen_hex_patch(2).graph
+    order = canonical_order(g)
+    assert canonical_order(g, budget=1) is order
+    with pytest.raises(BudgetError):
+        canonical_order(gen_hex_patch(2).graph, budget=1)
+
+
+def test_value_parameters_cannot_leave_the_memo_key():
+    g = gen_hex_patch(3).graph
+    with pytest.raises(TypeError):
+        find_standard_charts(g, m=3)
+    with pytest.raises(TypeError):
+        canonical_order(g, 10)
 
 
 def test_closed_neighbourhood_interior_hex_vertex():

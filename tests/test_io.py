@@ -171,6 +171,8 @@ def test_edge_list_rejects_junk():
         parse_edge_list("1 2 3\n")
     with pytest.raises(GraphError):
         parse_edge_list("a b\n")
+    with pytest.raises(GraphError, match="line 3: self-loop at vertex 1"):
+        parse_edge_list("0 1\n# c\n1 1\n")
 
 
 def test_dot_output_mentions_edges(octa):

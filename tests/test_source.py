@@ -1,4 +1,5 @@
-"""Checks on the package source itself: every module uses what it imports."""
+"""Checks on the package source itself: every module uses what it imports,
+and only ``graph.py`` touches a graph's memo."""
 
 from __future__ import annotations
 
@@ -33,3 +34,19 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def memo_accesses(source: str) -> list[int]:
+    """Lines of the attribute accesses ``._memo`` in ``source``."""
+    tree = ast.parse(source)
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_memo"]
+
+
+def test_memo_accesses_are_found():
+    assert memo_accesses("x = 1\nif key in g._memo:\n    pass\n") == [2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "graph.py"], ids=lambda p: p.name)
+def test_only_graph_py_touches_the_memo(path):
+    """Derived data is kept through ``graph.memoised`` alone."""
+    assert memo_accesses(path.read_text()) == []
