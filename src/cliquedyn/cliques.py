@@ -19,10 +19,11 @@ O(width / 30) digit operations, and building a frame costs about the sum
 of its vertices' degrees.  Where nearby ids are neighbours, as in clique
 graphs, whose cliques are numbered in sorted order, one frame serves many
 children; where they are not and each child's search is a node or two (a
-relabelled 6-regular torus, a star), the set search was faster.  Every call counts as one search node, charged against
-``node_budget`` on entry, and ``clique_cap`` is checked as each clique is
-found, so the tree, the node counts and the point where a budget trips
-are those of the set-based search.
+relabelled 6-regular torus, a star), the set search was faster.  Every call
+counts as one search node, charged against ``NODE_BUDGET`` on entry, and
+``clique_cap`` is checked as each clique is found, so the tree, the node
+counts and the point where a budget trips are those of the set-based
+search.
 """
 
 from __future__ import annotations
@@ -35,21 +36,18 @@ from .graph import Graph, GraphError
 from .isomorphism import BudgetError, canonical_hash, find_isomorphism, recursion_room
 
 DEFAULT_VERTEX_BUDGET = 500_000
-DEFAULT_NODE_BUDGET = 10_000_000
+NODE_BUDGET = 10_000_000
 FRAME_BITS = 256
 
 
-def max_cliques(
-    g: Graph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    clique_cap: int | None = None,
-) -> list[frozenset[int]]:
+def max_cliques(g: Graph, clique_cap: int | None = None) -> list[frozenset[int]]:
     """All maximal cliques, duplicate-free, sorted by their member lists.
 
     ``clique_cap`` bounds the number of cliques collected, so enumerations
     whose output alone would exhaust memory fail fast with a budget signal.
     """
     out: list[frozenset[int]] = []
+    node_budget = NODE_BUDGET
     spent = 0
     # the current frame, ascending, and each member's neighbours in it as a
     # mask over those positions
@@ -137,17 +135,13 @@ def intersection_edges(sets: Iterable[Iterable[int]]) -> set[tuple[int, int]]:
     return edges
 
 
-def clique_graph(
-    g: Graph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    clique_cap: int | None = None,
-) -> Graph:
+def clique_graph(g: Graph, clique_cap: int | None = None) -> Graph:
     """Graph on the maximal cliques of ``g``, adjacent when they intersect.
 
     The member list of each clique is recorded in the result's labels so
     clique vertices stay traceable to their supports.
     """
-    cliques = max_cliques(g, node_budget, clique_cap)
+    cliques = max_cliques(g, clique_cap)
     return Graph(
         range(len(cliques)),
         intersection_edges(cliques),
@@ -195,10 +189,7 @@ class IterationTrace:
 
 
 def iterate_k(
-    g: Graph,
-    max_steps: int,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    g: Graph, max_steps: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> IterationTrace:
     """Apply the clique graph operator repeatedly.
 
@@ -235,7 +226,7 @@ def iterate_k(
             if n == max_steps:
                 break
             # more than vertex_budget cliques raise BudgetError
-            current = clique_graph(current, node_budget, clique_cap=vertex_budget)
+            current = clique_graph(current, clique_cap=vertex_budget)
             graphs.append(current)
     except BudgetError as exc:
         # steps holds the iterates already labeled, so this names the one

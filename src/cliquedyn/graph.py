@@ -45,19 +45,17 @@ brief_repr = _BriefRepr().repr
 def memoised(derive: Callable) -> Callable:
     """``derive(g, *args)``, computed once per graph and positional
     arguments and stored on ``g``; the stored value is shared, so callers
-    must not modify it.  Keyword arguments bound the work (a budget), do not
-    change the value and are not part of the key, so a later call returns
-    the stored value without checking them again.  A call that raises
-    stores nothing."""
+    must not modify it.  Every argument is part of the key, so a keyword
+    argument is a ``TypeError``.  A call that raises stores nothing."""
 
     @functools.wraps(derive)
-    def lookup(g, *args, **bounds):
+    def lookup(g, /, *args):
         key = (derive, *args) if args else derive
         try:
             return g._memo[key]
         except KeyError:
             pass  # derived outside the handler, so its errors carry no KeyError context
-        value = g._memo[key] = derive(g, *args, **bounds)
+        value = g._memo[key] = derive(g, *args)
         return value
 
     return lookup
@@ -191,13 +189,13 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """The subgraph induced on vertex set ``s``.
+    """The subgraph induced on vertex set ``s``, unlabelled.
 
     A subgraph of a simple graph is simple, so the checks of
     ``Graph.__init__`` cannot fire here: the adjacency is cut straight out
     of ``g``'s.  This is the one place that builds a graph without them."""
     ss = frozenset(s)
-    adj, labels = g._adj, g.labels
+    adj = g._adj
     for v in ss:
         if v not in adj:
             raise UnknownVertexError(f"unknown vertex {v}")
@@ -207,8 +205,6 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     h._edge_count = sum(map(len, h._adj.values())) // 2
     h.name = g.name
     h.labels = None
-    if labels:
-        h.labels = {v: labels[v] for v in h._vertices if v in labels} or None
     h._memo = {}
     return h
 

@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .graph import Graph, memoised
 
-DEFAULT_BUDGET = 2_000_000
+LABELING_BUDGET = 2_000_000  # work units one labeling may spend: vertices + 1 per search node
 
 
 class BudgetError(RuntimeError):
@@ -185,9 +185,9 @@ class _CanonSearch:
 
     MAX_GENERATORS = 64
 
-    def __init__(self, adj: list[list[int]], budget: int):
+    def __init__(self, adj: list[list[int]]):
         self.adj = adj
-        self.budget = budget
+        self.budget = LABELING_BUDGET
         self.spent = 0
         # the best leaf so far: its code, vertex order and the traces along
         # its path, one per depth; best is None while no leaf is known to be
@@ -313,7 +313,7 @@ class _CanonSearch:
 
 
 @memoised
-def canonical_order(g: Graph, *, budget: int = DEFAULT_BUDGET) -> tuple[int, ...]:
+def canonical_order(g: Graph) -> tuple[int, ...]:
     """A canonical vertex ordering: isomorphic graphs produce orderings under
     which their relabelled edge sets coincide."""
     verts = g.vertices
@@ -321,31 +321,29 @@ def canonical_order(g: Graph, *, budget: int = DEFAULT_BUDGET) -> tuple[int, ...
     adj = [[idx[w] for w in g.neighbors(v)] for v in verts]
     if not verts:
         return ()
-    return tuple(verts[i] for i in _CanonSearch(adj, budget).run())
+    return tuple(verts[i] for i in _CanonSearch(adj).run())
 
 
-def canonical_key(g: Graph, budget: int = DEFAULT_BUDGET) -> bytes:
-    order = canonical_order(g, budget=budget)
+def canonical_key(g: Graph) -> bytes:
+    order = canonical_order(g)
     pos = {v: i for i, v in enumerate(order)}
     edges = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges())
     payload = f"{g.n};" + ",".join(f"{u}-{v}" for u, v in edges)
     return payload.encode()
 
 
-def canonical_hash(g: Graph, budget: int = DEFAULT_BUDGET) -> str:
+def canonical_hash(g: Graph) -> str:
     """Digest equal for isomorphic graphs; different digests imply
     non-isomorphism.  Convergence claims must still confirm digest matches
     with :func:`find_isomorphism`."""
-    return hashlib.sha256(canonical_key(g, budget)).hexdigest()
+    return hashlib.sha256(canonical_key(g)).hexdigest()
 
 
-def find_isomorphism(
-    g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET
-) -> dict[int, int] | None:
+def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     """An isomorphism g1 -> g2 as a vertex map, or None."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
-    if canonical_key(g1, budget) != canonical_key(g2, budget):
+    if canonical_key(g1) != canonical_key(g2):
         return None
     mapping = dict(zip(canonical_order(g1), canonical_order(g2)))
     for u, v in g1.edges():
@@ -354,8 +352,8 @@ def find_isomorphism(
     return mapping
 
 
-def is_isomorphic(g1: Graph, g2: Graph, budget: int = DEFAULT_BUDGET) -> bool:
-    return find_isomorphism(g1, g2, budget) is not None
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return find_isomorphism(g1, g2) is not None
 
 
 # -- induced subgraph search -------------------------------------------------

@@ -26,6 +26,8 @@ from .surface import (
     maximal_straight_paths,
 )
 
+MAX_DISC_FACETS = 24  # the most facets in the disc a random walk bounds
+
 
 @dataclass
 class SuiteResult:
@@ -200,9 +202,7 @@ def cover_suite(radius: int = 4) -> SuiteResult:
     )
 
 
-def random_disc_walk(
-    patch: hexgrid.HexRegion, rng: random.Random, max_facets: int = 24
-) -> tuple[int, ...]:
+def random_disc_walk(patch: hexgrid.HexRegion, rng: random.Random) -> tuple[int, ...]:
     """A simple closed walk bounding a random facet-connected disc kept away
     from the patch rim."""
     g = patch.graph
@@ -211,7 +211,7 @@ def random_disc_walk(
 
     while True:
         region = {rng.randrange(len(all_facets))}
-        target = rng.randrange(1, max_facets)
+        target = rng.randrange(1, MAX_DISC_FACETS)
         for _ in range(target):
             frontier = set()
             for fi in region:

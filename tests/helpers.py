@@ -9,7 +9,7 @@ from itertools import permutations
 import networkx as nx
 
 from cliquedyn.charts import Chart, _fill_plan
-from cliquedyn.cliques import DEFAULT_NODE_BUDGET
+from cliquedyn.cliques import NODE_BUDGET
 from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood
 from cliquedyn.isomorphism import BudgetError
@@ -50,7 +50,7 @@ def reference_refine(adj: list[list[int]], colors: list[int]) -> list[int]:
 
 def reference_max_cliques(
     g: Graph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = NODE_BUDGET,
     clique_cap: int | None = None,
 ) -> list[frozenset[int]]:
     """All maximal cliques, duplicate-free, sorted by their member lists:

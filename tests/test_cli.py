@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from unittest.mock import patch
 
 import pytest
 
-from cliquedyn import cli, geometric, lemmas
+from cliquedyn import cli, cliques, geometric, isomorphism, lemmas
 from cliquedyn.cli import main
 from cliquedyn.geometric import GeoBuilder
 from cliquedyn.isomorphism import BudgetError
@@ -398,6 +399,33 @@ def test_verify_lemmas_labeling_budget_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(lemmas, "find_isomorphism", exhausted)
     code, _, err = run(capsys, "verify-lemmas", "cover")
     assert code == 3 and "budget exceeded" in err
+
+
+def test_labeling_budget_through_iterate(tmp_path, capsys):
+    torus = tmp_path / "t.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    with patch.object(isomorphism, "LABELING_BUDGET", 10):
+        code, out, err = run(capsys, "iterate", str(torus), "--steps", "2")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "verdict": "budget_exceeded",
+        "detail": "iterate 0: canonical labeling exceeded its budget of 10 on a 16-vertex graph",
+    }
+
+
+def test_node_budget_through_cliquegraph(tmp_path, capsys):
+    torus = tmp_path / "t.json"
+    run(capsys, "generate", "torus", "4", "4", "--out", str(torus))
+    with patch.object(cliques, "NODE_BUDGET", 3):
+        code, out, err = run(capsys, "cliquegraph", str(torus))
+    assert (code, out, err) == (3, "", "budget exceeded: clique search exceeded 3 nodes\n")
+
+
+def test_labeling_budget_through_verify_lemmas_cover(capsys):
+    with patch.object(isomorphism, "LABELING_BUDGET", 10):
+        code, out, err = run(capsys, "verify-lemmas", "cover")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: canonical labeling exceeded its budget of 10 on a ")
 
 
 def test_verify_lemmas_has_no_jobs_option(capsys):

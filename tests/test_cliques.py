@@ -127,7 +127,8 @@ def test_iterate_octahedron_hits_clique_cap(octa):
 
 def test_converged_verdict_is_budget_stable():
     g = complete_graph(4)
-    small = iterate_k(g, 5, vertex_budget=50, node_budget=10_000)
+    with patch.object(cliques, "NODE_BUDGET", 10_000):
+        small = iterate_k(g, 5, vertex_budget=50)
     large = iterate_k(g, 5)
     assert (small.verdict, small.converged_at, small.period) == (
         large.verdict,
@@ -159,8 +160,8 @@ def test_empty_graph_is_a_fixed_point():
 
 
 def test_max_cliques_node_budget(t44):
-    with pytest.raises(BudgetError):
-        max_cliques(t44, node_budget=3)
+    with patch.object(cliques, "NODE_BUDGET", 3), pytest.raises(BudgetError):
+        max_cliques(t44)
 
 
 def test_clique_search_deeper_than_the_recursion_limit(low_recursion_limit):
@@ -168,9 +169,10 @@ def test_clique_search_deeper_than_the_recursion_limit(low_recursion_limit):
     a chain of n nodes, whatever the recursion limit."""
     n = low_recursion_limit + 100
     k = complete_graph(n)
-    assert max_cliques(k, node_budget=n + 1) == [frozenset(range(n))]
-    with pytest.raises(BudgetError):
-        max_cliques(k, node_budget=n)
+    with patch.object(cliques, "NODE_BUDGET", n + 1):
+        assert max_cliques(k) == [frozenset(range(n))]
+    with patch.object(cliques, "NODE_BUDGET", n), pytest.raises(BudgetError):
+        max_cliques(k)
 
 
 def test_iterate_path_collapses_to_a_point():
@@ -214,10 +216,16 @@ def test_max_cliques_matches_networkx_on_random_graphs(g):
 # -- the bit-mask search against the set-based reference ----------------------
 
 
+def _budgeted_max_cliques(g: Graph, node_budget: int, clique_cap: int | None = None):
+    """``max_cliques`` with its node budget set to ``node_budget``."""
+    with patch.object(cliques, "NODE_BUDGET", node_budget):
+        return max_cliques(g, clique_cap)
+
+
 def _outcome(search, g: Graph, node_budget: int, clique_cap: int | None = None):
     """The clique list, or which budget stopped the search."""
     try:
-        return search(g, node_budget=node_budget, clique_cap=clique_cap)
+        return search(g, node_budget, clique_cap)
     except BudgetError as exc:
         return "cap" if "maximal cliques" in str(exc) else "nodes"
 
@@ -226,7 +234,7 @@ def _least_node_budget(g: Graph, clique_cap: int | None = None) -> int:
     """The least node budget under which ``max_cliques`` is not stopped by
     the node budget: its node count, or the node where ``clique_cap`` trips."""
     def enough(b):
-        return _outcome(max_cliques, g, b, clique_cap) != "nodes"
+        return _outcome(_budgeted_max_cliques, g, b, clique_cap) != "nodes"
 
     lo, hi = -1, 1  # invariant: lo is too small; -1 lies below every budget asked
     while not enough(hi):
@@ -243,7 +251,7 @@ def _assert_matches_reference(g: Graph, cap_fraction: float = 0.5) -> None:
     a point, the reference passes it too, and one node less stops both."""
     cliques = reference_max_cliques(g)
     count = _least_node_budget(g)
-    for search in (max_cliques, reference_max_cliques):
+    for search in (_budgeted_max_cliques, reference_max_cliques):
         assert _outcome(search, g, count) == cliques
         assert _outcome(search, g, count, len(cliques)) == cliques
         if count:
@@ -251,7 +259,7 @@ def _assert_matches_reference(g: Graph, cap_fraction: float = 0.5) -> None:
     if cliques:
         cap = int(cap_fraction * (len(cliques) - 1))
         trip = _least_node_budget(g, cap)
-        for search in (max_cliques, reference_max_cliques):
+        for search in (_budgeted_max_cliques, reference_max_cliques):
             assert _outcome(search, g, trip, cap) == "cap"
             assert _outcome(search, g, trip - 1, cap) == "nodes"
 

@@ -1,5 +1,6 @@
 """Checks on the package source itself: every module uses what it imports,
-and only ``graph.py`` touches a graph's memo."""
+only ``graph.py`` touches a graph's memo, every memoised function takes
+positional parameters only, and no function takes a search budget."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliquedyn"
 # the package's __init__ imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the budgets that are module constants, read where they are spent
+BUDGET_PARAMETERS = {"budget", "node_budget", "max_facets"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +53,46 @@ def test_memo_accesses_are_found():
 def test_only_graph_py_touches_the_memo(path):
     """Derived data is kept through ``graph.memoised`` alone."""
     assert memo_accesses(path.read_text()) == []
+
+
+def memoised_with_keywords(source: str) -> list[str]:
+    """Names of the ``@memoised`` functions taking a keyword-only parameter
+    or ``**`` keywords, which the memo key would leave out."""
+    return [
+        f.name
+        for f in ast.walk(ast.parse(source))
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(d, ast.Name) and d.id == "memoised" for d in f.decorator_list)
+        and (f.args.kwonlyargs or f.args.kwarg)
+    ]
+
+
+def test_memoised_keywords_are_found():
+    source = (
+        "@memoised\ndef a(g, *, budget=1): pass\n"
+        "@memoised\ndef b(g, **bounds): pass\n"
+        "@memoised\ndef c(g, m, /): pass\n"
+        "def d(g, *, budget=1): pass\n"
+    )
+    assert memoised_with_keywords(source) == ["a", "b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_memoised_functions_take_positional_parameters_only(path):
+    assert memoised_with_keywords(path.read_text()) == []
+
+
+def parameter_names(source: str) -> set[str]:
+    """Every parameter name of every function and lambda in ``source``."""
+    return {n.arg for n in ast.walk(ast.parse(source)) if isinstance(n, ast.arg)}
+
+
+def test_parameter_names_are_found():
+    source = "def f(a, /, b, *c, d, **e): pass\ng = lambda h: h\n"
+    assert parameter_names(source) == set("abcdeh")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_budget(path):
+    """The vertex budget of ``iterate_k`` is the one budget set per run."""
+    assert parameter_names(path.read_text()) & BUDGET_PARAMETERS == set()
