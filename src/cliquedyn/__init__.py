@@ -59,10 +59,7 @@ from .surface import (
     classify_vertex,
     disc_discharge_check,
     facets,
-    is_straight,
     maximal_straight_paths,
-    path_degree,
-    umbrella,
     validate_surface,
 )
 

@@ -241,14 +241,6 @@ class CMapResult:
     missing_cliques: list[frozenset[int]]
     deep_clique_count: int
 
-    @property
-    def injective(self) -> bool:
-        return not self.collisions
-
-    @property
-    def surjective_on_deep(self) -> bool:
-        return not self.missing_cliques
-
 
 def c_map(gg_n: GeoGraph, gg_next: GeoGraph) -> CMapResult:
     """The clique attached to every next-level vertex, with injectivity and

@@ -25,7 +25,6 @@ UNIT_STEPS: tuple[Coord, ...] = (
     (-1, 0, 1),
     (0, -1, 1),
 )
-_UNIT_STEP_SET = frozenset(UNIT_STEPS)
 
 # Offsets realising adjacency between triangle sizes m and m-2, m-4, m-6.
 SUM2_OFFSETS: tuple[Coord, ...] = (
@@ -68,10 +67,6 @@ def hex_distance(a: Coord, b: Coord) -> int:
     return max(abs(d[0]), abs(d[1]), abs(d[2]))
 
 
-def are_adjacent(a: Coord, b: Coord) -> bool:
-    return sub(a, b) in _UNIT_STEP_SET
-
-
 class HexRegion:
     """A finite coordinate set together with its induced graph.
 
@@ -79,7 +74,7 @@ class HexRegion:
     regeneration is deterministic.
     """
 
-    def __init__(self, coords, name: str = "", corners: tuple[Coord, ...] = ()):
+    def __init__(self, coords, name: str = ""):
         self.coords: tuple[Coord, ...] = tuple(sorted(set(coords)))
         if len({sum(c) for c in self.coords}) > 1:
             raise GraphError("region coordinates must share one component sum")
@@ -98,7 +93,6 @@ class HexRegion:
             name=name,
             labels={i: c for i, c in enumerate(self.coords)},
         )
-        self.corners = corners
 
     def interior_ids(self) -> frozenset[int]:
         """Vertices with all six lattice neighbours inside the region."""
@@ -108,12 +102,6 @@ class HexRegion:
             for c in self.coords
             if all(add(c, d) in cset for d in UNIT_STEPS)
         )
-
-    def boundary_ids(self) -> frozenset[int]:
-        return frozenset(self.graph.vertices) - self.interior_ids()
-
-    def ids(self, coords) -> frozenset[int]:
-        return frozenset(self.id_of[c] for c in coords)
 
 
 def side_of(size: int) -> int | None:
@@ -140,8 +128,7 @@ def flipped_delta_coords(m: int, apex: Coord) -> list[Coord]:
 
 
 def gen_delta(m: int) -> HexRegion:
-    corners = ((m, 0, 0), (0, m, 0), (0, 0, m)) if m > 0 else (((0, 0, 0),))
-    return HexRegion(delta_coords(m), name=f"delta_{m}", corners=tuple(corners))
+    return HexRegion(delta_coords(m), name=f"delta_{m}")
 
 
 def gen_hex_patch(radius: int) -> HexRegion:
@@ -178,11 +165,8 @@ def gen_nabla(kind: str, e: Coord | None = None) -> HexRegion:
     else:
         raise GraphError(f"unknown nabla kind {kind!r}")
     coords = flipped_delta_coords(side, apex)
-    corners = tuple(
-        sorted(sub(apex, (side * b[0], side * b[1], side * b[2])) for b in BASIS)
-    )
     name = f"nabla_{kind}" + (f"_{e[0]}{e[1]}{e[2]}" if kind == "1e" else "")
-    return HexRegion(coords, name=name, corners=corners)
+    return HexRegion(coords, name=name)
 
 
 # -- classification oracle ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Surface structure of a graph: neighbourhood classification, facets,
-path degrees, straight walks, umbrellas, and the disc discharging identity.
+straight walks and the disc discharging identity.  Path degrees and
+umbrellas serve only as test oracles, in ``tests/helpers.py``.
 
 A vertex is *inner* when its open neighbourhood induces a cycle of length
 at least 4, *boundary* when it induces a path, and *invalid* otherwise.
@@ -186,7 +187,7 @@ def boundary_distance(g: Graph) -> dict[int, float]:
     return dist
 
 
-# -- walks and path degrees --------------------------------------------------
+# -- walks -------------------------------------------------------------------
 
 
 def check_walk(g: Graph, walk: tuple[int, ...]) -> None:
@@ -198,43 +199,6 @@ def check_walk(g: Graph, walk: tuple[int, ...]) -> None:
     for a, b in zip(walk, walk[1:]):
         if not g.has_edge(a, b):
             raise SurfaceError(f"walk step ({a},{b}) is not an edge")
-
-
-def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:
-    """Arc lengths cut by the walk in the neighbourhood of its i-th vertex.
-
-    Inner vertex: the two arc lengths of the neighbourhood cycle between
-    the walk's predecessor and successor.  Boundary vertex: the length of
-    the unique path between them inside the neighbourhood path.
-    """
-    check_walk(g, walk)
-    if not (0 < i < len(walk) - 1):
-        raise SurfaceError(f"index {i} is an endpoint of the walk")
-    return _bend_degree(g, walk[i - 1], walk[i], walk[i + 1])
-
-
-def _bend_degree(g: Graph, prev: int, cur: int, nxt: int) -> frozenset[int]:
-    """``path_degree`` at the bend prev, cur, nxt of a checked walk."""
-    if prev == nxt:
-        raise SurfaceError("walk backtracks immediately; path degree undefined")
-    cls = classify_vertex(g, cur)
-    if cls.kind == INVALID:
-        raise SurfaceError(f"vertex {cur} has no cyclic or path neighbourhood")
-    # a valid link orders every neighbour, the walk's two among them
-    order = cls.order
-    a, b = order.index(prev), order.index(nxt)
-    if cls.is_inner:
-        l1 = (b - a) % len(order)
-        return frozenset({l1, len(order) - l1})
-    return frozenset({abs(b - a)})
-
-
-def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
-    """True iff every interior path degree along the walk contains 3."""
-    check_walk(g, walk)
-    if len(walk) < 3:
-        raise SurfaceError("straightness needs a walk of length at least 2")
-    return all(3 in _bend_degree(g, *bend) for bend in zip(walk, walk[1:], walk[2:]))
 
 
 def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
@@ -296,21 +260,6 @@ def maximal_straight_paths(g: Graph, min_len: int) -> list[tuple[int, ...]]:
         if len(walk) > min_len:
             walks.append(tuple(walk))
     return sorted(walks)
-
-
-def umbrella(g: Graph, v: int) -> tuple[tuple[int, int, int], ...]:
-    """The facets around an inner vertex, in cyclic order."""
-    cls = classify_vertex(g, v)
-    if cls.kind != INNER:
-        raise SurfaceError(f"vertex {v} is not an inner vertex")
-    cycle = cls.order
-    n = len(cycle)
-    fans = [tuple(sorted((v, cycle[i], cycle[(i + 1) % n]))) for i in range(n)]
-    k = fans.index(min(fans))
-    rotated = fans[k:] + fans[:k]
-    if rotated[1:] and rotated[-1] < rotated[1]:
-        rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
-    return tuple(rotated)
 
 
 # -- disc discharging --------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared test helpers: small oracles kept independent of the library paths
-they check, and the star-cut antiprism surgery behind the surface fixtures."""
+they check (among them path degrees, straight walks, umbrellas and lattice
+adjacency, which the package itself does not need), and the star-cut
+antiprism surgery behind the surface fixtures."""
 
 from __future__ import annotations
 
@@ -12,8 +14,16 @@ from cliquedyn.charts import Chart, _fill_plan
 from cliquedyn.cliques import NODE_BUDGET
 from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood
+from cliquedyn.hexgrid import UNIT_STEPS, Coord, sub
 from cliquedyn.isomorphism import BudgetError
-from cliquedyn.surface import classify_vertex, validate_surface
+from cliquedyn.surface import (
+    INNER,
+    INVALID,
+    SurfaceError,
+    check_walk,
+    classify_vertex,
+    validate_surface,
+)
 
 
 def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -132,6 +142,70 @@ def reference_level_edges(host: Graph, charts: list[Chart]) -> list[tuple[int, i
                 if charts[j].image <= region:
                     edges.append((i, j))
     return edges
+
+
+def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:
+    """Arc lengths cut by the walk in the neighbourhood of its i-th vertex.
+
+    Inner vertex: the two arc lengths of the neighbourhood cycle between
+    the walk's predecessor and successor.  Boundary vertex: the length of
+    the unique path between them inside the neighbourhood path.
+    """
+    check_walk(g, walk)
+    if not (0 < i < len(walk) - 1):
+        raise SurfaceError(f"index {i} is an endpoint of the walk")
+    return _bend_degree(g, walk[i - 1], walk[i], walk[i + 1])
+
+
+def _bend_degree(g: Graph, prev: int, cur: int, nxt: int) -> frozenset[int]:
+    """``path_degree`` at the bend prev, cur, nxt of a checked walk."""
+    if prev == nxt:
+        raise SurfaceError("walk backtracks immediately; path degree undefined")
+    cls = classify_vertex(g, cur)
+    if cls.kind == INVALID:
+        raise SurfaceError(f"vertex {cur} has no cyclic or path neighbourhood")
+    # a valid link orders every neighbour, the walk's two among them
+    order = cls.order
+    a, b = order.index(prev), order.index(nxt)
+    if cls.is_inner:
+        l1 = (b - a) % len(order)
+        return frozenset({l1, len(order) - l1})
+    return frozenset({abs(b - a)})
+
+
+def is_straight(g: Graph, walk: tuple[int, ...]) -> bool:
+    """True iff every interior path degree along the walk contains 3: the
+    reference for the link-position rule of
+    ``surface.maximal_straight_paths``."""
+    check_walk(g, walk)
+    if len(walk) < 3:
+        raise SurfaceError("straightness needs a walk of length at least 2")
+    return all(3 in _bend_degree(g, *bend) for bend in zip(walk, walk[1:], walk[2:]))
+
+
+def umbrella(g: Graph, v: int) -> tuple[tuple[int, int, int], ...]:
+    """The facets around an inner vertex, in cyclic order: the reference
+    for the fan that ``geometric.clique_from_vertex`` reads from the level-1
+    membership."""
+    cls = classify_vertex(g, v)
+    if cls.kind != INNER:
+        raise SurfaceError(f"vertex {v} is not an inner vertex")
+    cycle = cls.order
+    n = len(cycle)
+    fans = [tuple(sorted((v, cycle[i], cycle[(i + 1) % n]))) for i in range(n)]
+    k = fans.index(min(fans))
+    rotated = fans[k:] + fans[:k]
+    if rotated[1:] and rotated[-1] < rotated[1]:
+        rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
+    return tuple(rotated)
+
+
+_UNIT_STEP_SET = frozenset(UNIT_STEPS)
+
+
+def are_adjacent(a: Coord, b: Coord) -> bool:
+    """Lattice adjacency: the coordinates differ by one unit step."""
+    return sub(a, b) in _UNIT_STEP_SET
 
 
 def star_cut_antiprism(torus: Graph, pairs: list[tuple[int, int]], name: str) -> Graph:

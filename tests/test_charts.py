@@ -22,7 +22,6 @@ from cliquedyn.hexgrid import (
     UNIT_STEPS,
     add,
     apply_permutation,
-    are_adjacent,
     delta_coords,
     flipped_delta_coords,
     gen_delta,
@@ -33,6 +32,7 @@ from cliquedyn.graph import Graph, GraphError, closed_neighbourhood, induced_sub
 from cliquedyn.isomorphism import induced_images
 from cliquedyn.surface import edge_links, facets
 from helpers import (
+    are_adjacent,
     degree_seven_surface,
     genus2_surface,
     random_surgery_surface,

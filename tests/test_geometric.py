@@ -32,12 +32,13 @@ from cliquedyn.hexgrid import (
     gen_hex_patch,
     sub,
 )
-from cliquedyn.surface import boundary_distance
+from cliquedyn.surface import boundary_distance, validate_surface
 from helpers import (
     degree_seven_surface,
     genus2_surface,
     random_surgery_surface,
     reference_level_edges,
+    umbrella,
 )
 
 
@@ -107,6 +108,29 @@ def test_vertex_clique_at_degree_seven_vertex(genus2):
     v7 = next(v for v in genus2.vertices if genus2.degree(v) == 7)
     clique = clique_from_vertex(gg3, v7)
     assert sorted(gg3.charts[i].m for i in clique) == [1] * 7
+
+
+@pytest.mark.parametrize(
+    "host, inner",
+    [
+        (lambda: gen_hex_patch(4).graph, 37),
+        (genus2_surface, 98),
+        (lambda: cover_ball(genus2_surface, 5), 111),
+    ],
+    ids=["hex_patch_4", "genus2", "genus2_ball_5"],
+)
+def test_vertex_fan_matches_umbrella(host, inner):
+    """The level-1 fan that ``clique_from_vertex`` reads at an inner vertex
+    is the vertex's umbrella, on the flat patch and on hosts with degree-7
+    vertices."""
+    g = host()
+    gg = GeoBuilder(g).build(1)
+    classes = validate_surface(g).classes
+    inner_vertices = [v for v in g.vertices if classes[v].is_inner]
+    assert len(inner_vertices) == inner
+    for v in inner_vertices:
+        fan = {gg.charts[i].image for i in gg.membership[(1, v)]}
+        assert fan == {frozenset(f) for f in umbrella(g, v)}, v
 
 
 def test_triangle_clique_contains_central_intersection(patch9_builder):
@@ -204,7 +228,7 @@ def test_offset_rule_matches_containment_adjacency():
     patch = gen_hex_patch(7)
     gg = GeoBuilder(patch.graph).build(3, 0)
     base = chart_of_support(
-        patch.graph, patch.ids(add(c, (-2, -2, -2)) for c in delta_coords(6))
+        patch.graph, frozenset(patch.id_of[add(c, (-2, -2, -2))] for c in delta_coords(6))
     )
     coords6 = set(delta_coords(6))
     anchors3 = [t for t in coords6 if set(add(c, t) for c in delta_coords(3)) <= coords6]
@@ -226,8 +250,8 @@ def test_c_map_certificates(patch9_builder):
     gg1 = builder.build(1, margin=0)
     gg2 = builder.build(2, margin=5)
     result = c_map(gg1, gg2)
-    assert result.injective
-    assert result.surjective_on_deep
+    assert not result.collisions
+    assert not result.missing_cliques
     assert result.deep_clique_count > 0
 
 

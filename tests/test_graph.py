@@ -221,7 +221,7 @@ def test_closed_neighbourhood_whole_k3():
 
 def test_closed_neighbourhood_of_central_facet_is_twelve():
     patch = gen_hex_patch(3)
-    facet = patch.ids([(0, 0, 0), (1, -1, 0), (1, 0, -1)])
+    facet = frozenset(patch.id_of[c] for c in [(0, 0, 0), (1, -1, 0), (1, 0, -1)])
     assert len(closed_neighbourhood(patch.graph, facet)) == 12
 
 

@@ -1,17 +1,32 @@
 """Checks on the package source itself: every module uses what it imports,
-only ``graph.py`` touches a graph's memo, every memoised function takes
+every top-level definition has a reader outside the tests, only
+``graph.py`` touches a graph's memo, every memoised function takes
 positional parameters only, and no function takes a search budget."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cliquedyn"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cliquedyn"
 # the package's __init__ imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the code that may read a package definition: the package itself, the
+# benchmark and the acceptance tests (the other tests hold oracles and
+# checks, which are no reason for a definition to live in the package)
+READERS = [
+    *MODULES,
+    *sorted((ROOT / "perfbench").glob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+]
+UNREAD_ALLOWED = {
+    # ROADMAP item 2 replaces it with the exact triangle spectrum
+    "delta_embedding_bound",
+}
 # the budgets that are module constants, read where they are spent
 BUDGET_PARAMETERS = {"budget", "node_budget", "max_facets"}
 
@@ -37,6 +52,43 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(modules: list[str], readers: list[str], readme: str) -> list[str]:
+    """Top-level functions and classes of the ``modules`` sources that no
+    reader source reads as a name, an attribute or a from-import, and that
+    no backticked span of ``readme`` names."""
+    read = {w for span in readme.split("`")[1::2] for w in re.findall(r"\w+", span)}
+    for node in (n for source in readers for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return sorted(
+        node.name
+        for source in modules
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+
+
+def test_unread_definitions_are_found():
+    module = "def a(): pass\ndef b(): pass\nclass C: pass\ndef d(): b()\ndef e(): pass\nx = 1\n"
+    readers = [module, "from m import C\nimport m\nm.d()\n"]
+    assert unread_definitions([module], readers, "run `e` (not a)") == ["a"]
+
+
+def test_every_definition_has_a_reader():
+    """Code that only the tests read belongs in ``tests/helpers.py``."""
+    unread = unread_definitions(
+        [p.read_text() for p in MODULES],
+        [p.read_text() for p in READERS],
+        (ROOT / "README.md").read_text(),
+    )
+    assert [name for name in unread if name not in UNREAD_ALLOWED] == []
 
 
 def memo_accesses(source: str) -> list[int]:

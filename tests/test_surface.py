@@ -23,10 +23,7 @@ from cliquedyn.surface import (
     disc_discharge_check,
     edge_links,
     facets,
-    is_straight,
     maximal_straight_paths,
-    path_degree,
-    umbrella,
     validate_surface,
 )
 from helpers import (
@@ -34,7 +31,10 @@ from helpers import (
     cycle_graph,
     degree_seven_surface,
     genus2_surface,
+    is_straight,
+    path_degree,
     to_networkx,
+    umbrella,
 )
 
 
@@ -211,14 +211,14 @@ def test_straightness():
 def test_is_straight_checks_the_walk_once(monkeypatch):
     """Straightness reads each bend once; the walk is checked once, not
     once per bend."""
-    from cliquedyn import surface
+    import helpers
 
     g = hex_torus(4, 120)
     walk = max(maximal_straight_paths(g, 1), key=len)
     assert len(walk) - 1 >= 100
     calls = []
-    real = surface.check_walk
-    monkeypatch.setattr(surface, "check_walk", lambda *a: calls.append(a) or real(*a))
+    real = helpers.check_walk
+    monkeypatch.setattr(helpers, "check_walk", lambda *a: calls.append(a) or real(*a))
     assert is_straight(g, walk)
     assert len(calls) == 1
 
@@ -424,7 +424,7 @@ def test_neighbourhood_ring_of_triangle_is_cycle():
         patch = gen_hex_patch(m + 3)
         k1, rem = divmod(m, 3)
         offset = (-(k1 + (1 if rem > 0 else 0)), -(k1 + (1 if rem > 1 else 0)), -k1)
-        support = patch.ids(add(c, offset) for c in delta_coords(m))
+        support = frozenset(patch.id_of[add(c, offset)] for c in delta_coords(m))
         ring = closed_neighbourhood(patch.graph, support) - support
         sub = induced_subgraph(patch.graph, ring)
         assert sub.n == 3 * (m + 2)
