@@ -17,9 +17,14 @@ sizes of every split, in the order made.  The canonical leaf is the least
 (trace sequence, adjacency code) over all discrete leaves, so a child whose
 trace exceeds the best leaf's trace at its depth is abandoned mid-refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), and automorphisms
-found from equal codes prune sibling branches in one orbit.  The search is
-exponential in the worst case but exact; the graphs handled here (lattice
-patches, small tori, iterated clique graphs) keep the tree small.
+found from equal codes prune sibling branches in one orbit.  A leaf whose
+code equals the best leaf's also ends the walk below the depth d where the
+two leaves' individualised prefixes part: the automorphism between them
+fixes that prefix and maps the best leaf's branch at depth d, already
+searched, onto the current one, so every leaf left below is the image of
+one already seen.  The search is exponential in the worst case but exact;
+the graphs handled here (lattice patches, small tori, iterated clique
+graphs) keep the tree small.
 """
 
 from __future__ import annotations
@@ -118,46 +123,65 @@ class _Partition:
             s = queue.popleft()
             queued.discard(s)
             if size[s] == 1:
-                counts = dict.fromkeys(adj[order[s]], 1)
+                # a one-vertex splitter counts 1 for each of its neighbours
+                counts = None
+                reached = adj[order[s]]
             else:
-                counts = Counter(chain.from_iterable(adj[w] for w in order[s : s + size[s]]))
+                counts = reached = Counter(chain.from_iterable(adj[w] for w in order[s : s + size[s]]))
             hit: dict[int, list[int]] = {}
-            for u in counts:
+            for u in reached:
                 c = cell[u]
                 if size[c] > 1:
                     hit.setdefault(c, []).append(u)
             for c in sorted(hit):
                 touched = hit[c]
                 k = size[c]
-                groups: dict[int, list[int]] = {}
-                for u in touched:
-                    groups.setdefault(counts[u], []).append(u)
-                if len(touched) < k:
-                    groups[0] = [u for u in order[c : c + k] if u not in counts]
-                if len(groups) == 1:
-                    continue
-                event = [c]
-                starts = []
-                f = c
-                for key in sorted(groups):
-                    frag = groups[key]
-                    m = len(frag)
-                    order[f : f + m] = frag
-                    size[f] = m
-                    if f != c:
-                        for u in frag:
-                            cell[u] = f
-                    event += (key, m)
-                    starts.append(f)
-                    f += m
-                if c in queued:
-                    fresh = starts[1:]
+                if counts is None:
+                    # two fragments: the untouched members in cell order,
+                    # then the touched ones, which take the new start first
+                    # so that the scan for the untouched reads ``cell``
+                    t = len(touched)
+                    if t == k:
+                        continue
+                    f = c + k - t
+                    for u in touched:
+                        cell[u] = f
+                    order[c:f] = [u for u in order[c : c + k] if cell[u] == c]
+                    order[f : c + k] = touched
+                    size[c] = k - t
+                    size[f] = t
+                    fresh = [f if c in queued or t <= k - t else c]
+                    event = (c, 0, k - t, 1, t)
                 else:
-                    largest = max(starts, key=size.__getitem__)
-                    fresh = [f for f in starts if f != largest]
+                    groups: dict[int, list[int]] = {}
+                    for u in touched:
+                        groups.setdefault(counts[u], []).append(u)
+                    if len(touched) < k:
+                        groups[0] = [u for u in order[c : c + k] if u not in counts]
+                    if len(groups) == 1:
+                        continue
+                    event = [c]
+                    starts = []
+                    f = c
+                    for key in sorted(groups):
+                        frag = groups[key]
+                        m = len(frag)
+                        order[f : f + m] = frag
+                        size[f] = m
+                        if f != c:
+                            for u in frag:
+                                cell[u] = f
+                        event += (key, m)
+                        starts.append(f)
+                        f += m
+                    if c in queued:
+                        fresh = starts[1:]
+                    else:
+                        largest = max(starts, key=size.__getitem__)
+                        fresh = [f for f in starts if f != largest]
+                    event = tuple(event)
                 queue.extend(fresh)
                 queued.update(fresh)
-                event = tuple(event)
                 trace.append(event)
                 if bound is not None:
                     i = len(trace) - 1
@@ -180,7 +204,12 @@ class _CanonSearch:
 
     Automorphisms discovered from equal-code leaves prune sibling branches:
     two members of a target cell in one orbit of the subgroup fixing the
-    individualised prefix head isomorphic subtrees, so one suffices.
+    individualised prefix head isomorphic subtrees, so one suffices.  Such
+    a leaf also sends the search back to the depth where its prefix parts
+    from the best leaf's: the automorphism maps the earlier, fully searched
+    branch there onto the current one.  The first least leaf in depth-first
+    order is never skipped, since it would be the image of an earlier leaf
+    with the same code, so the order found is the one a full walk finds.
     """
 
     MAX_GENERATORS = 64
@@ -189,11 +218,12 @@ class _CanonSearch:
         self.adj = adj
         self.budget = LABELING_BUDGET
         self.spent = 0
-        # the best leaf so far: its code, vertex order and the traces along
-        # its path, one per depth; best is None while no leaf is known to be
-        # a candidate for the least one
+        # the best leaf so far: its code, vertex order, individualised
+        # vertices and the traces along its path, one per depth; best is
+        # None while no leaf is known to be a candidate for the least one
         self.best: tuple | None = None
         self.best_order: list[int] | None = None
+        self.best_fixed: tuple[int, ...] = ()
         self.best_traces: list[list[tuple]] = []
         self.path: list[list[tuple]] = []
         # pairs (permutation, inverse permutation)
@@ -216,11 +246,12 @@ class _CanonSearch:
                 f"on a {len(self.adj)}-vertex graph"
             )
 
-    def _descend(self, part: _Partition, fixed: tuple[int, ...]) -> None:
+    def _descend(self, part: _Partition, fixed: tuple[int, ...]) -> int:
+        """Search below ``part`` and return the depth the search goes on at:
+        this node's own, or a shallower one after an automorphism leaf."""
         target = part.first_nonsingleton()
         if target is None:
-            self._leaf(part)
-            return
+            return self._leaf(part, fixed)
         depth = len(fixed)
         members = part.order[target : target + part.size[target]]
         if self._cell_interchangeable(members):
@@ -243,28 +274,38 @@ class _CanonSearch:
                 self.best = None
             del self.path[depth:]
             self.path.append(trace)
-            self._descend(child, fixed + (v,))
+            back = self._descend(child, fixed + (v,))
+            if back < depth:
+                return back
+        return depth
 
-    def _leaf(self, part: _Partition) -> None:
+    def _leaf(self, part: _Partition, fixed: tuple[int, ...]) -> int:
+        """Compare the leaf with the best one; return the depth the search
+        goes on at: the leaf's own, or after an automorphism leaf the length
+        of the prefix it shares with the best leaf."""
         order = part.order
         code = _code_from_discrete(self.adj, order, part.cell)
         if self.best is None or code < self.best:
             self.best = code
             self.best_order = order
+            self.best_fixed = fixed
             self.best_traces = list(self.path)
-        elif code == self.best and len(self.generators) < self.MAX_GENERATORS:
+            return len(fixed)
+        if code != self.best:
+            return len(fixed)
+        if len(self.generators) < self.MAX_GENERATORS:
             # equal codes give an automorphism mapping the best leaf onto
             # this one; record it as a pruning generator
             perm = [0] * len(order)
             for i, v in enumerate(self.best_order):
                 perm[v] = order[i]
-            if any(perm[v] != v for v in range(len(perm))):
-                inv = [0] * len(perm)
-                for v, w in enumerate(perm):
-                    inv[w] = v
-                pair = (tuple(perm), tuple(inv))
-                if pair not in self.generators:
-                    self.generators.append(pair)
+            inv = [0] * len(perm)
+            for v, w in enumerate(perm):
+                inv[w] = v
+            pair = (tuple(perm), tuple(inv))
+            if pair not in self.generators:
+                self.generators.append(pair)
+        return next(d for d, (u, w) in enumerate(zip(fixed, self.best_fixed)) if u != w)
 
     def _cell_interchangeable(self, cell: list[int]) -> bool:
         """True when the cell's members are pairwise swappable by evident

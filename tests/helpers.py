@@ -6,7 +6,8 @@ antiprism surgery behind the surface fixtures."""
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from collections import Counter, deque
+from itertools import chain, permutations
 
 import networkx as nx
 
@@ -15,7 +16,7 @@ from cliquedyn.cliques import NODE_BUDGET
 from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood
 from cliquedyn.hexgrid import UNIT_STEPS, Coord, sub
-from cliquedyn.isomorphism import BudgetError
+from cliquedyn.isomorphism import BudgetError, _CanonSearch, _Partition
 from cliquedyn.surface import (
     INNER,
     INVALID,
@@ -56,6 +57,82 @@ def reference_refine(adj: list[list[int]], colors: list[int]) -> list[int]:
         if new == colors:
             return new
         colors = new
+
+
+def reference_queue_refine(
+    part: _Partition, adj: list[list[int]], splitters: list[int], bound: list[tuple] | None = None
+) -> list[tuple] | None:
+    """The call-for-call reference for ``_Partition.refine``, without its
+    one-step split for a one-vertex splitter: every split, whatever the
+    splitter, groups the hit cell's members by neighbour count (a one-vertex
+    splitter through a counts dict of ones) and places the groups in count
+    order."""
+    order, cell, size = part.order, part.cell, part.size
+    trace: list[tuple] = []
+    queue = deque(splitters)
+    queued = set(splitters)
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        if size[s] == 1:
+            counts = dict.fromkeys(adj[order[s]], 1)
+        else:
+            counts = Counter(chain.from_iterable(adj[w] for w in order[s : s + size[s]]))
+        hit: dict[int, list[int]] = {}
+        for u in counts:
+            c = cell[u]
+            if size[c] > 1:
+                hit.setdefault(c, []).append(u)
+        for c in sorted(hit):
+            touched = hit[c]
+            k = size[c]
+            groups: dict[int, list[int]] = {}
+            for u in touched:
+                groups.setdefault(counts[u], []).append(u)
+            if len(touched) < k:
+                groups[0] = [u for u in order[c : c + k] if u not in counts]
+            if len(groups) == 1:
+                continue
+            event = [c]
+            starts = []
+            f = c
+            for key in sorted(groups):
+                frag = groups[key]
+                m = len(frag)
+                order[f : f + m] = frag
+                size[f] = m
+                if f != c:
+                    for u in frag:
+                        cell[u] = f
+                event += (key, m)
+                starts.append(f)
+                f += m
+            if c in queued:
+                fresh = starts[1:]
+            else:
+                largest = max(starts, key=size.__getitem__)
+                fresh = [f for f in starts if f != largest]
+            queue.extend(fresh)
+            queued.update(fresh)
+            event = tuple(event)
+            trace.append(event)
+            if bound is not None:
+                i = len(trace) - 1
+                if i >= len(bound) or event > bound[i]:
+                    return None
+                if event < bound[i]:
+                    bound = None
+    return trace
+
+
+class NoJumpSearch(_CanonSearch):
+    """The canonical search without the jump back after an automorphism
+    leaf: every leaf lets the search go on at its own depth, so each subtree
+    is walked to its end.  The reference for the jump's exactness."""
+
+    def _leaf(self, part: _Partition, fixed: tuple[int, ...]) -> int:
+        super()._leaf(part, fixed)
+        return len(fixed)
 
 
 def reference_max_cliques(

@@ -25,11 +25,13 @@ from cliquedyn.isomorphism import (
     is_isomorphic,
 )
 from helpers import (
+    NoJumpSearch,
     brute_force_isomorphic,
     complete_graph,
     cycle_graph,
     degree_seven_surface,
     genus2_surface,
+    reference_queue_refine,
     reference_refine,
     to_networkx,
 )
@@ -202,8 +204,9 @@ def test_hash_of_the_degree_seven_second_iterate_ignores_vertex_ids():
     assert len(hashes) == 1
 
 
-def test_trace_pruning_keeps_the_degree_seven_search_small(monkeypatch):
-    leaves = []
+def _counted_leaves(monkeypatch) -> list[int]:
+    """A list that grows by one per leaf any later labeling reaches."""
+    leaves: list[int] = []
     code = isomorphism._code_from_discrete
 
     def counted(*args):
@@ -211,11 +214,26 @@ def test_trace_pruning_keeps_the_degree_seven_search_small(monkeypatch):
         return code(*args)
 
     monkeypatch.setattr(isomorphism, "_code_from_discrete", counted)
+    return leaves
+
+
+def test_trace_pruning_keeps_the_degree_seven_search_small(monkeypatch):
+    leaves = _counted_leaves(monkeypatch)
     canonical_order(clique_graph(degree_seven_surface()))
     assert 1 <= len(leaves) <= 16
 
 
-# -- splitter-queue refinement against the round-based reference ---------------
+def test_the_jump_back_keeps_the_diverging_torus_search_small(monkeypatch):
+    # the 4x4 torus iterates keep every automorphism of the torus; a search
+    # that walks on below an automorphism leaf reached 214 leaves here
+    graphs = _iterates(lambda: hex_torus(4, 4), 20)
+    leaves = _counted_leaves(monkeypatch)
+    for g in graphs:
+        canonical_order(g)
+    assert len(leaves) <= 100
+
+
+# -- splitter-queue refinement against the round-based and queue references ---
 
 
 def _adjacency(g: Graph) -> list[list[int]]:
@@ -230,17 +248,25 @@ def _cells(colors: list[int]) -> set[frozenset[int]]:
     return {frozenset(c) for c in cells.values()}
 
 
+def _same_partition(a: _Partition, b: _Partition) -> bool:
+    return (a.order, a.cell, a.size) == (b.order, b.cell, b.size)
+
+
 def _check_refinement(adj: list[list[int]], v: int | None = None) -> None:
     """Refine from one cell, then from v individualised in the result when
     v is given and not already a singleton, and compare the cells with the
-    reference's."""
+    round-based reference's, and the trace and every view of the partition
+    with the queue reference's."""
     n = len(adj)
-    part = _Partition.unit(n)
-    part.refine(adj, [0])
+    part, queue_ref = _Partition.unit(n), _Partition.unit(n)
+    assert part.refine(adj, [0]) == reference_queue_refine(queue_ref, adj, [0])
+    assert _same_partition(part, queue_ref)
     colors = reference_refine(adj, [0] * n)
     if v is not None and part.size[part.cell[v]] > 1:
-        part = part.individualised(v)
-        part.refine(adj, [part.cell[v]])
+        s = part.cell[v]
+        part, queue_ref = part.individualised(v), queue_ref.individualised(v)
+        assert part.refine(adj, [s]) == reference_queue_refine(queue_ref, adj, [s])
+        assert _same_partition(part, queue_ref)
         colors[v] = max(colors) + 1
         colors = reference_refine(adj, colors)
     assert _cells(part.cell) == _cells(colors)
@@ -357,3 +383,67 @@ def test_find_isomorphism_agrees_with_networkx(index, rng):
     assert (mapping is not None) == _nx_isomorphic(g, near)
     if mapping is not None:
         _assert_witness(mapping, g, near)
+
+
+# -- the jump back and the one-step split against the parent's search ---------
+
+
+@pytest.mark.parametrize(
+    "make, steps, shuffle",
+    [
+        (lambda: hex_torus(4, 4), 6, True),
+        (lambda: hex_torus(5, 6), 6, True),
+        (genus2_surface, 4, False),
+        (degree_seven_surface, 2, False),
+        (octahedron, 2, False),
+    ],
+    ids=["torus4x4", "torus5x6", "genus2", "septic", "octahedron"],
+)
+def test_the_jump_back_keeps_every_canonical_order(make, steps, shuffle):
+    for i, g in enumerate(_iterates(make, steps)):
+        if shuffle:
+            g = _shuffled(g, random.Random(i))
+        adj = _adjacency(g)
+        reference = NoJumpSearch(adj)
+        expected = tuple(g.vertices[v] for v in reference.run())
+        search = _CanonSearch(adj)
+        assert tuple(g.vertices[v] for v in search.run()) == expected
+        assert canonical_order(g) == expected
+        assert search.spent <= reference.spent
+
+
+def test_the_jump_back_keeps_the_order_of_every_relabelled_torus():
+    # a jump to a shallower depth than the two leaves' common prefix skips
+    # branches that hold the least leaf on about a third of these
+    g = hex_torus(4, 4)
+    for seed in range(20):
+        adj = _adjacency(_shuffled(g, random.Random(seed)))
+        assert _CanonSearch(adj).run() == NoJumpSearch(adj).run()
+
+
+def test_refinement_replays_the_queue_reference_call_for_call(monkeypatch):
+    graphs = _iterates(lambda: hex_torus(4, 4), 4) + [
+        _shuffled(g, random.Random(i)) for i, g in enumerate(_iterates(genus2_surface, 3))
+    ]
+    calls = []
+    refine = _Partition.refine
+
+    def recorded(part, adj, splitters, bound=None):
+        before = _Partition(part.order[:], part.cell[:], part.size[:])
+        calls.append((adj, before, list(splitters), bound))
+        return refine(part, adj, splitters, bound)
+
+    monkeypatch.setattr(_Partition, "refine", recorded)
+    for g in graphs:
+        canonical_order(g)
+    monkeypatch.undo()
+    assert any(bound is not None for *_, bound in calls)
+    for adj, before, splitters, bound in calls:
+        part, ref = (
+            _Partition(before.order[:], before.cell[:], before.size[:]) for _ in range(2)
+        )
+        assert part.refine(adj, splitters, bound) == reference_queue_refine(
+            ref, adj, splitters, bound
+        )
+        assert _same_partition(part, ref)
+
