@@ -166,20 +166,29 @@ def _is_induced_triangle(g: Graph, mapping: dict[Coord, int], m: int) -> bool:
 
 
 @memoised
-def find_standard_charts(g: Graph, m: int, /) -> list[Chart]:
-    """One chart per induced side-m triangle of g, sorted by ``Chart.key``.
+def find_standard_charts(g: Graph, m: int, margin: int, /) -> list[Chart]:
+    """One chart per induced side-m triangle of g at boundary distance at
+    least ``margin``, sorted by ``Chart.key``; margin 0 lists them all.
 
     Each triangle's chart is the least of its charts in key order: the
     least corner sits at (0, 0, m) and its smaller triangle neighbour at
     (0, 1, m-1).  The triangle's other charts are this one recomposed
-    with the coordinate permutations of the domain."""
+    with the coordinate permutations of the domain.  The margin is read
+    while searching: an anchor facet with a vertex nearer the boundary is
+    not developed, nor is a developed map with such a vertex tested for
+    inducedness, so the result is exactly the full list filtered by
+    ``min_boundary_distance``."""
+    dist = boundary_distance(g) if margin else {}
+    shallow = {v for v, d in dist.items() if d < margin}
     if m == 0:
-        return [Chart(0, {(0, 0, 0): v}) for v in g.vertices]
+        return [Chart(0, {(0, 0, 0): v}) for v in g.vertices if v not in shallow]
     _require_patch_surface(g)
     charts = []
     corner, c1, c2 = (0, 0, m), (0, 1, m - 1), (1, 0, m - 1)
     far1, far2 = (m, 0, 0), (0, m, 0)
     for a, b, c in facets(g):
+        if a in shallow or b in shallow or c in shallow:
+            continue
         # the orderings of the sorted facet with c1's vertex below c2's
         for u, v, w in ((a, b, c), (b, a, c), (c, a, b)):
             anchor = {corner: u, c1: v, c2: w}
@@ -187,7 +196,7 @@ def find_standard_charts(g: Graph, m: int, /) -> list[Chart]:
             mapping = _develop(g, anchor, m) if m >= 2 else anchor
             if mapping is None or u > mapping[far1] or u > mapping[far2]:
                 continue
-            if _is_induced_triangle(g, mapping, m):
+            if shallow.isdisjoint(mapping.values()) and _is_induced_triangle(g, mapping, m):
                 charts.append(Chart(m, mapping))
     charts.sort(key=Chart.key)
     return charts
@@ -199,7 +208,7 @@ def chart_of_support(g: Graph, support) -> Chart:
     m = side_of(len(support))
     if m is None:
         raise ChartError(f"{len(support)} vertices cannot form a triangular patch")
-    for chart in find_standard_charts(g, m):
+    for chart in find_standard_charts(g, m, 0):
         if chart.image == support:
             return chart
     raise ChartError(f"support of size {len(support)} is not a side-{m} triangle")
@@ -273,7 +282,7 @@ def neighbour_triangles(g: Graph, support) -> list[frozenset[int]]:
     if min_boundary_distance(g, support) < margin:
         raise MarginError(f"support is within distance {margin} of the host boundary")
     hood = closed_neighbourhood(g, support)
-    images = {ch.image for ch in find_standard_charts(g, m) if ch.image <= hood}
+    images = {ch.image for ch in find_standard_charts(g, m, 0) if ch.image <= hood}
     if support not in images:
         raise ChartError(f"support of size {len(support)} is not a side-{m} triangle")
     images.discard(support)

@@ -304,5 +304,5 @@ def delta_embedding_bound(cb: CoverBall, m_max: int) -> int:
     if cb.radius < m_max + 1:
         raise CoverError(f"radius {cb.radius} too small for m_max {m_max}")
     interior = cb.interior_graph()
-    best = next((m for m in range(m_max, 0, -1) if find_standard_charts(interior, m)), 0)
+    best = next((m for m in range(m_max, 0, -1) if find_standard_charts(interior, m, 0)), 0)
     return m_max + 1 if best == m_max else best

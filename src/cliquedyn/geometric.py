@@ -112,14 +112,18 @@ class GeoBuilder:
             raise GeoError(f"host vertex {invalid[0]} has no cyclic or path neighbourhood")
 
     def build(self, n: int, margin: int = 0) -> GeoGraph:
+        """The level-n graph on the charts whose images keep boundary
+        distance at least ``margin``, found by ``find_standard_charts`` at
+        that margin.  An edge depends only on its two charts, and ids follow
+        (level, sorted support), so this is the margin-0 graph induced on
+        those charts, with its ids renumbered in the same order."""
         if n < 0 or margin < 0:
             raise GeoError("n and margin must be non-negative")
         charts = sorted(
             (
                 chart
                 for m in range(n % 2, n + 1, 2)
-                for chart in find_standard_charts(self.host, m)
-                if min_boundary_distance(self.host, chart.image) >= margin
+                for chart in find_standard_charts(self.host, m, margin)
             ),
             key=lambda ch: (ch.m, sorted(ch.image)),
         )
@@ -316,7 +320,34 @@ def verify_geometric_equivalence(
 ) -> EquivalenceReport:
     """Certify on the deep interior that the clique correspondence is a
     graph isomorphism between the level-(n+1) graph and the clique graph
-    of the level-n graph."""
+    of the level-n graph.
+
+    The level-(n+1) graph holds the charts at boundary distance at least
+    ``margin``, the level-n graph only those at distance at least
+    ``margin - 4``: every chart ``c_map`` reads is among them.  A chart
+    maps lattice edges to host edges, so within its domain boundary
+    distance changes by at most the lattice distance.
+    - Deep charts, and the corner children and centre of a next-level
+      triangle T, lie inside T or the deep region: distance >= margin.
+    - T's supersets one level up lie within 1 of T, those three up whose
+      ``core(1)`` is T within 2, and a vertex's umbrella facets within 1.
+    - A neighbour of a chart ``gap`` levels up or down lies within lattice
+      distance gap/2 + 1 of it (the smaller support sits in the larger's
+      ``core(gap/2 - 1)``), at most 4 for the gaps <= 6 that ``build``
+      links.  Of two adjacent same-size supports, one lies in the closed
+      neighbourhood of the other; on the grid and on every curved host
+      tested each lies in the other's, so a neighbour lies within 1.
+      This covers N[deep] and the members of a triangle clique, the
+      common neighbours of T's children.
+    - A member of a vertex clique is a facet within 2 of the vertex, or a
+      side-3 or side-5 triangle with the vertex in its image or
+      ``core(1)``, within 4 of it; a side-7 triangle's ``core(2)`` is one
+      facet, so it is adjacent to one facet of the umbrella only.
+    ``build`` yields the induced subgraph on the kept charts with ids
+    renumbered in order, so each set read is the same up to that
+    renumbering, the clique search on N[deep] runs the same tree, and
+    every label, sorted list and first missing clique of the report is
+    unchanged."""
     builder = GeoBuilder(host)
     if margin is None:
         margin = n + 3
@@ -332,7 +363,7 @@ def verify_geometric_equivalence(
         if report.classes[v].is_inner and host.degree(v) < 6:
             raise GeoError(f"interior vertex {v} has degree below 6")
 
-    gg_n = builder.build(n, margin=0)
+    gg_n = builder.build(n, margin=max(0, margin - 4))
     gg_next = builder.build(n + 1, margin=margin)
     if not len(gg_next):
         raise GeoError(

@@ -366,11 +366,15 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_key(g: Graph) -> bytes:
+    """``n;`` and the edges as ``i-j`` (i < j) between canonical positions,
+    in lexicographic order: each position's later neighbours, sorted, in
+    turn."""
     order = canonical_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    edges = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges())
-    payload = f"{g.n};" + ",".join(f"{u}-{v}" for u, v in edges)
-    return payload.encode()
+    rows = []
+    for i, v in enumerate(order):
+        rows.extend(f"{i}-{j}" for j in sorted(pos[w] for w in g.neighbors(v)) if j > i)
+    return f"{g.n};{','.join(rows)}".encode()
 
 
 def canonical_hash(g: Graph) -> str:

@@ -139,7 +139,7 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
     for m in (3, 4, 5):
         supports = [
             ch.image
-            for ch in charts_mod.find_standard_charts(g, m)
+            for ch in charts_mod.find_standard_charts(g, m, 0)
             if charts_mod.min_boundary_distance(g, ch.image) >= 3
         ]
         if not supports:

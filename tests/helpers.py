@@ -11,12 +11,13 @@ from itertools import chain, permutations
 
 import networkx as nx
 
+from cliquedyn import geometric
 from cliquedyn.charts import Chart, _fill_plan
 from cliquedyn.cliques import NODE_BUDGET
 from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood
 from cliquedyn.hexgrid import UNIT_STEPS, Coord, sub
-from cliquedyn.isomorphism import BudgetError, _CanonSearch, _Partition
+from cliquedyn.isomorphism import BudgetError, _CanonSearch, _Partition, canonical_order
 from cliquedyn.surface import (
     INNER,
     INVALID,
@@ -40,6 +41,14 @@ def brute_force_isomorphic(g1: Graph, g2: Graph) -> bool:
         }:
             return True
     return False
+
+
+def reference_canonical_key(g: Graph) -> bytes:
+    """``isomorphism.canonical_key`` from the whole edge list, relabelled by
+    canonical position and sorted, kept as the reference for its payload."""
+    pos = {v: i for i, v in enumerate(canonical_order(g))}
+    edges = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges())
+    return (f"{g.n};" + ",".join(f"{u}-{v}" for u, v in edges)).encode()
 
 
 def reference_refine(adj: list[list[int]], colors: list[int]) -> list[int]:
@@ -219,6 +228,44 @@ def reference_level_edges(host: Graph, charts: list[Chart]) -> list[tuple[int, i
                 if charts[j].image <= region:
                     edges.append((i, j))
     return edges
+
+
+def reference_verify(host: Graph, n: int, margin: int, level_margin: int = 0) -> dict | None:
+    """``verify_geometric_equivalence(host, n, margin).to_dict()`` with the
+    level-n graph built on every chart at boundary distance ``level_margin``
+    or more, all of them by default: the verification before that graph
+    was cut to the charts ``c_map`` reads, kept as its reference.  None
+    where no level-(n+1) vertex is deep enough, where verify raises; the
+    input gates are left out.  ``c_map`` and ``intersection_edges`` are
+    read from ``geometric``, so a test that replaces them replaces both."""
+    builder = geometric.GeoBuilder(host)
+    gg_next = builder.build(n + 1, margin=margin)
+    if not len(gg_next):
+        return None
+    gg_n = builder.build(n, margin=level_margin)
+    try:
+        cmr = geometric.c_map(gg_n, gg_next)
+    except geometric.GeoError as exc:
+        return geometric.EquivalenceReport(False, n, margin, len(gg_next), 0, [str(exc)]).to_dict()
+    failures = []
+    if cmr.collisions:
+        failures.append(f"clique map not injective: {cmr.collisions[:3]}")
+    if cmr.missing_cliques:
+        failures.append(
+            f"{len(cmr.missing_cliques)} deep cliques not hit, first: "
+            f"{[gg_n.label(i) for i in sorted(cmr.missing_cliques[0])][:4]}"
+        )
+    intersecting = geometric.intersection_edges(list(cmr.mapping.values()))
+    edges_next = set(gg_next.graph.edges())
+    extra = intersecting - edges_next
+    lost = edges_next - intersecting
+    if extra:
+        failures.append(f"cliques intersect for non-adjacent pair {list(min(extra))}")
+    if lost:
+        failures.append(f"adjacent pair {list(min(lost))} has disjoint cliques")
+    return geometric.EquivalenceReport(
+        not failures, n, margin, len(gg_next), cmr.deep_clique_count, failures
+    ).to_dict()
 
 
 def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:

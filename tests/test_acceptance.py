@@ -122,7 +122,7 @@ def test_criterion_5_neighbour_count_tightness():
         patch = gen_hex_patch(10)
         g = patch.graph
         for m, expected in ((3, 7), (4, 6), (5, 6), (6, 6)):
-            images = {ch.image for ch in find_standard_charts(g, m)}
+            images = {ch.image for ch in find_standard_charts(g, m, 0)}
             deep = [img for img in images if min_boundary_distance(g, img) >= 3]
             support = sorted(deep, key=sorted)[0]
             assert len(neighbour_triangles(g, support)) == expected

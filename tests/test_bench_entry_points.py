@@ -123,7 +123,7 @@ def test_memoised_entry_points_count_every_call(monkeypatch, tracer):
     spans = tracer.Tracer()
     spans.install()
     g = gen_hex_patch(3).graph
-    assert charts.find_standard_charts(g, 3) is charts.find_standard_charts(g, 3)
+    assert charts.find_standard_charts(g, 3, 0) is charts.find_standard_charts(g, 3, 0)
     assert spans.totals["charts.find_standard_charts.m3"][0] == 2
     counted = spans.totals["surface.validate_surface"][0]
     assert surface.validate_surface(g) is surface.validate_surface(g)

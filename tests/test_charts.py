@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from cliquedyn import charts as charts_mod
+from cliquedyn import lemmas
 from cliquedyn.charts import (
     Chart,
     ChartConflictError,
@@ -27,7 +28,9 @@ from cliquedyn.hexgrid import (
     gen_delta,
     gen_hex_patch,
 )
+from cliquedyn.covers import universal_cover_ball
 from cliquedyn.generators import hex_torus
+from cliquedyn.geometric import GeoBuilder
 from cliquedyn.graph import Graph, GraphError, closed_neighbourhood, induced_subgraph
 from cliquedyn.isomorphism import induced_images
 from cliquedyn.surface import edge_links, facets
@@ -41,7 +44,7 @@ from helpers import (
 
 
 def interior_support(g, m, depth):
-    images = {ch.image for ch in find_standard_charts(g, m)}
+    images = {ch.image for ch in find_standard_charts(g, m, 0)}
     deep = [img for img in images if min_boundary_distance(g, img) >= depth]
     assert deep, f"no side-{m} triangle at depth {depth}"
     return sorted(deep, key=sorted)[0]
@@ -57,7 +60,7 @@ def recompositions(chart):
 
 
 def test_six_charts_per_image(patch6):
-    charts = find_standard_charts(patch6.graph, 2)
+    charts = find_standard_charts(patch6.graph, 2, 0)
     assert charts
     for chart in charts:
         keys = {twisted.key() for twisted in recompositions(chart)}
@@ -66,11 +69,11 @@ def test_six_charts_per_image(patch6):
 
 
 def test_no_triangles_of_side_two_in_octahedron(octa):
-    assert find_standard_charts(octa, 2) == []
+    assert find_standard_charts(octa, 2, 0) == []
 
 
 def test_charts_are_induced_isomorphisms(patch6):
-    for chart in find_standard_charts(patch6.graph, 3)[:12]:
+    for chart in find_standard_charts(patch6.graph, 3, 0)[:12]:
         coords = sorted(chart.mapping)
         for i, a in enumerate(coords):
             for b in coords[i + 1 :]:
@@ -78,14 +81,14 @@ def test_charts_are_induced_isomorphisms(patch6):
 
 
 def test_torus_facet_charts(t44):
-    charts = find_standard_charts(t44, 1)
+    charts = find_standard_charts(t44, 1, 0)
     assert len({ch.image for ch in charts}) == 32
     assert len(charts) == 32
     assert len({twisted.key() for ch in charts for twisted in recompositions(ch)}) == 192
 
 
 def test_chart_symmetry_equivariance(patch6):
-    sample = find_standard_charts(patch6.graph, 2)[0]
+    sample = find_standard_charts(patch6.graph, 2, 0)[0]
     # every recomposition of a stored chart has that chart as its least recomposition
     for twisted in recompositions(sample):
         assert twisted.image == sample.image
@@ -99,7 +102,7 @@ def test_one_least_chart_per_triangle(octa, icosa, t44, genus2, patch6):
     hosts = [octa, icosa, t44, genus2, degree_seven_surface(), patch6.graph]
     for host in hosts:
         for m in (1, 2, 3, 4):
-            charts = find_standard_charts(host, m)
+            charts = find_standard_charts(host, m, 0)
             assert len({ch.image for ch in charts}) == len(charts)
             for chart in charts:
                 for twisted in recompositions(chart):
@@ -112,7 +115,7 @@ def test_one_least_chart_per_triangle(octa, icosa, t44, genus2, patch6):
 
 
 def test_m0_charts_are_vertices(octa):
-    charts = find_standard_charts(octa, 0)
+    charts = find_standard_charts(octa, 0, 0)
     assert sorted(ch[(0, 0, 0)] for ch in charts) == list(octa.vertices)
 
 
@@ -121,7 +124,7 @@ def test_extension_realises_all_directions(patch8):
     g = patch8.graph
     support = interior_support(g, 4, 3)
     ext = extend_chart(g, chart_of_support(g, support))
-    images = {ch.image for ch in find_standard_charts(g, 4)}
+    images = {ch.image for ch in find_standard_charts(g, 4, 0)}
     translates = {ext.sub_support(d, 4) for d in UNIT_STEPS}
     assert len(translates) == 6 and translates <= images
 
@@ -162,7 +165,7 @@ def test_extension_margin_error():
     g = patch.graph
     shallow = [
         img
-        for img in {ch.image for ch in find_standard_charts(g, 5)}
+        for img in {ch.image for ch in find_standard_charts(g, 5, 0)}
         if min_boundary_distance(g, img) < 2
     ]
     with pytest.raises(MarginError):
@@ -234,10 +237,10 @@ def test_table_development_matches_intersections(octa, icosa, t44, genus2, patch
         misses.append(links.misses)
     monkeypatch.undo()
     assert misses[3] and misses[4]
-    keys = [[ch.key() for ch in find_standard_charts(h, m)] for h in hosts for m in range(5)]
+    keys = [[ch.key() for ch in find_standard_charts(h, m, 0)] for h in hosts for m in range(5)]
     monkeypatch.setattr(charts_mod, "_develop", reference_develop)
     fresh = [Graph(h.vertices, h.edges()) for h in hosts]
-    assert keys == [[ch.key() for ch in find_standard_charts(h, m)] for h in fresh for m in range(5)]
+    assert keys == [[ch.key() for ch in find_standard_charts(h, m, 0)] for h in fresh for m in range(5)]
 
 
 def test_chart_core_matches_the_coordinate_filter(patch8, genus2):
@@ -247,7 +250,7 @@ def test_chart_core_matches_the_coordinate_filter(patch8, genus2):
     extended = 0
     for host in (patch8.graph, genus2):
         for m in (3, 4, 5):
-            for chart in find_standard_charts(host, m):
+            for chart in find_standard_charts(host, m, 0):
                 cases = [chart]
                 try:
                     cases.append(extend_chart(host, chart))
@@ -267,7 +270,7 @@ def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
     hosts = [octa, icosa, t44, genus2, gen_hex_patch(4).graph, gen_delta(5).graph]
     for host in hosts:
         for m in (1, 2, 3):
-            charts = find_standard_charts(host, m)
+            charts = find_standard_charts(host, m, 0)
             slow = set(induced_images(gen_delta(m).graph, host))
             assert {ch.image for ch in charts} == slow
             assert len(charts) == len(slow)
@@ -275,9 +278,69 @@ def test_chart_finder_matches_embedding_oracle(octa, icosa, t44, genus2):
 
 def test_chart_lists_are_computed_once_per_side():
     g = gen_hex_patch(4).graph
-    charts = find_standard_charts(g, 2)
-    assert find_standard_charts(g, 2) is charts
-    assert find_standard_charts(g, 3) is not charts
+    charts = find_standard_charts(g, 2, 0)
+    assert find_standard_charts(g, 2, 0) is charts
+    assert find_standard_charts(g, 3, 0) is not charts
+
+
+def test_callers_share_one_chart_list_per_side(monkeypatch):
+    """``chart_of_support``, ``neighbour_triangles``, the chart-extension
+    suite and a margin-0 level graph all read the margin-0 list of each
+    side, so on one host each side is developed once, and the memo holds
+    one entry per side."""
+    developed = Counter()
+    real = charts_mod._develop
+
+    def counted(g, assign, m):
+        developed[m] += 1
+        return real(g, assign, m)
+
+    monkeypatch.setattr(charts_mod, "_develop", counted)
+    patch = gen_hex_patch(8)
+    g = patch.graph
+    monkeypatch.setattr(lemmas.hexgrid, "gen_hex_patch", lambda radius: patch)
+    assert lemmas.chart_extension_suite(radius=8).ok
+    support = interior_support(g, 2, 2)
+    assert chart_of_support(g, support).image == support
+    assert neighbour_triangles(g, interior_support(g, 1, 1))
+    builder = GeoBuilder(g)
+    builder.build(4, 0)
+    builder.build(5, 0)
+    shared = developed.copy()
+    developed.clear()
+    fresh = gen_hex_patch(8).graph
+    for m in range(6):
+        find_standard_charts(fresh, m, 0)
+    # every ordering of every facet is developed once, for each side from 2
+    assert shared == developed == Counter({m: 3 * len(facets(g)) for m in range(2, 6)})
+    derive = find_standard_charts.__wrapped__
+    assert sorted(k[1:] for k in g._memo if type(k) is tuple and k[0] is derive) == [
+        (m, 0) for m in range(6)
+    ]
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        lambda: gen_hex_patch(5).graph,
+        lambda: gen_hex_patch(9).graph,
+        lambda: hex_torus(6, 7),
+        lambda: universal_cover_ball(genus2_surface(), genus2_surface().vertices[0], 6).graph,
+    ],
+    ids=["hex_patch_5", "hex_patch_9", "torus6x7", "genus2_ball_6"],
+)
+def test_charts_at_a_margin_are_the_filtered_full_list(host):
+    """Searching at margin d, side 0 included, gives exactly the charts of
+    the margin-0 list whose images keep boundary distance d; on the torus
+    every distance is infinite, so every margin keeps them all."""
+    g = host()
+    for m in range(7):
+        full = [ch.key() for ch in find_standard_charts(g, m, 0)]
+        for d in range(9):
+            got = [ch.key() for ch in find_standard_charts(g, m, d)]
+            assert got == [
+                key for key in full if min_boundary_distance(g, [v for _, v in key]) >= d
+            ], (m, d)
 
 
 def extension_images(g, support):
@@ -299,7 +362,7 @@ def test_extension_matches_neighbour_triangles_on_the_grid(patch8, m):
     g = patch8.graph
     supports = [
         img
-        for img in {ch.image for ch in find_standard_charts(g, m)}
+        for img in {ch.image for ch in find_standard_charts(g, m, 0)}
         if min_boundary_distance(g, img) >= 3
     ]
     assert supports
@@ -309,7 +372,7 @@ def test_extension_matches_neighbour_triangles_on_the_grid(patch8, m):
 
 def test_neighbour_triangles_where_extension_conflicts(genus2):
     g = genus2
-    for support in sorted({ch.image for ch in find_standard_charts(g, 3)}, key=sorted):
+    for support in sorted({ch.image for ch in find_standard_charts(g, 3, 0)}, key=sorted):
         try:
             extension_images(g, support)
         except ChartConflictError:
@@ -323,7 +386,7 @@ def test_neighbour_triangles_beyond_the_unit_translates(genus2):
     """Near the surgery a side-6 triangle's neighbourhood holds a seventh
     triangle that is no unit translate of the extended chart."""
     g = genus2
-    for support in sorted({ch.image for ch in find_standard_charts(g, 6)}, key=sorted):
+    for support in sorted({ch.image for ch in find_standard_charts(g, 6, 0)}, key=sorted):
         found = set(neighbour_triangles(g, support))
         try:
             if extension_images(g, support) < found:
@@ -379,7 +442,7 @@ def test_extension_on_curved_hosts(host):
         corners = {(m + 2, -1, -1), (-1, m + 2, -1), (-1, -1, m + 2)}
         domain = {add(c, (-1, -1, -1)) for c in delta_coords(m + 3)} - corners
         edges = [(a, b) for a in domain for b in domain if a < b and are_adjacent(a, b)]
-        for chart in find_standard_charts(g, m):
+        for chart in find_standard_charts(g, m, 0):
             rim = [v for c, v in chart.mapping.items() if min(c) == 0]
             if any(g.degree(v) != 6 for v in rim):
                 with pytest.raises(ChartConflictError, match="has degree"):

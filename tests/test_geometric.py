@@ -38,6 +38,7 @@ from helpers import (
     genus2_surface,
     random_surgery_surface,
     reference_level_edges,
+    reference_verify,
     umbrella,
 )
 
@@ -139,7 +140,7 @@ def test_triangle_clique_contains_central_intersection(patch9_builder):
     support = sorted(
         (
             img
-            for img in {ch.image for ch in find_standard_charts(builder.host, 5)}
+            for img in {ch.image for ch in find_standard_charts(builder.host, 5, 0)}
             if min_boundary_distance(builder.host, img) >= 4
         ),
         key=sorted,
@@ -158,7 +159,7 @@ def test_summary_matches_construction_across_levels(patch9_builder):
         support = sorted(
             (
                 img
-                for img in {ch.image for ch in find_standard_charts(builder.host, level)}
+                for img in {ch.image for ch in find_standard_charts(builder.host, level, 0)}
                 if min_boundary_distance(builder.host, img) >= n + 3
             ),
             key=sorted,
@@ -174,7 +175,7 @@ def test_summary_level_two_contains_inverted_centre(patch9_builder):
     support = sorted(
         (
             img
-            for img in {ch.image for ch in find_standard_charts(builder.host, 2)}
+            for img in {ch.image for ch in find_standard_charts(builder.host, 2, 0)}
             if min_boundary_distance(builder.host, img) >= 5
         ),
         key=sorted,
@@ -191,7 +192,7 @@ def test_summary_level_one_contains_inverted_parent(patch9_builder):
     support = sorted(
         (
             img
-            for img in {ch.image for ch in find_standard_charts(builder.host, 1)}
+            for img in {ch.image for ch in find_standard_charts(builder.host, 1, 0)}
             if min_boundary_distance(builder.host, img) >= 5
         ),
         key=sorted,
@@ -399,6 +400,75 @@ def test_verify_equivalence_on_cover_balls_of_non_grid_surfaces(surface, radius,
     assert got == expected
 
 
+CUT_HOSTS = {
+    "hex_patch_6": lambda: gen_hex_patch(6).graph,
+    "hex_patch_8": lambda: gen_hex_patch(8).graph,
+    "hex_patch_10": lambda: gen_hex_patch(10).graph,
+    "genus2_ball_8": lambda: cover_ball(genus2_surface, 8),
+    "septic_ball_6": lambda: cover_ball(degree_seven_surface, 6),
+}
+
+
+@pytest.mark.parametrize("host", sorted(CUT_HOSTS))
+def test_level_graph_neighbours_differ_in_depth_by_at_most_half_the_gap_plus_one(host):
+    """The bound behind verify's cut of the level-n graph: the boundary
+    distances of the supports of two adjacent vertices ``gap`` levels
+    apart differ by at most gap/2 + 1.  n = 6 reaches gap 6."""
+    g = CUT_HOSTS[host]()
+    dist = boundary_distance(g)
+    builder = GeoBuilder(g)
+    for n in range(7):
+        gg = builder.build(n)
+        depth = [min(dist[v] for v in ch.image) for ch in gg.charts]
+        for i, j in gg.graph.edges():
+            gap = abs(gg.charts[i].m - gg.charts[j].m)
+            assert abs(depth[i] - depth[j]) <= gap // 2 + 1, (n, gg.label(i), gg.label(j))
+
+
+@pytest.mark.parametrize("host", sorted(CUT_HOSTS))
+def test_verify_reports_match_the_whole_level_graph(host):
+    """verify builds the level-n graph only on the charts at boundary
+    distance margin - 4 or more; every report equals the one made on the
+    whole level-n graph, for n = 0..6 and margins n+3..n+5."""
+    g = CUT_HOSTS[host]()
+    compared = 0
+    for n in range(7):
+        for margin in range(n + 3, n + 6):
+            expected = reference_verify(g, n, margin)
+            if expected is None:
+                with pytest.raises(GeoError, match="host too small"):
+                    verify_geometric_equivalence(g, n, margin)
+                continue
+            assert verify_geometric_equivalence(g, n, margin).to_dict() == expected, (n, margin)
+            compared += 1
+    assert compared >= 8
+
+
+def test_failed_verify_reports_match_the_whole_level_graph(monkeypatch):
+    """With one member dropped from every clique the map is no longer onto
+    the deep cliques, and the failures, the first missing clique among
+    them, are those made on the whole level-n graph."""
+    real = geometric.clique_summary
+
+    def short(gg, chart):
+        return frozenset(sorted(real(gg, chart))[1:])
+
+    monkeypatch.setattr(geometric, "clique_summary", short)
+    for host, n in ((gen_hex_patch(8).graph, 2), (cover_ball(genus2_surface, 8), 1)):
+        report = verify_geometric_equivalence(host, n).to_dict()
+        assert not report["ok"] and any("deep cliques not hit" in f for f in report["failures"])
+        assert report == reference_verify(host, n, n + 3)
+
+
+def test_cutting_the_level_graph_at_the_full_margin_changes_reports():
+    """The control for the cut: a level-n graph on the deep charts alone
+    misses charts that ``c_map`` reads, and the reports change."""
+    g = gen_hex_patch(8).graph
+    for n in range(1, 4):
+        for margin in (n + 3, n + 4):
+            assert reference_verify(g, n, margin, margin) != reference_verify(g, n, margin)
+
+
 def test_verify_compares_adjacency_with_clique_intersection(monkeypatch):
     monkeypatch.setattr(geometric, "intersection_edges", lambda sets: set())
     report = verify_geometric_equivalence(gen_hex_patch(8).graph, 0)
@@ -541,7 +611,7 @@ def test_chart_cores_avoid_the_sides_and_their_neighbourhood(surface, radius, co
     host = cover_ball(surface, radius)
     checked = 0
     for m in range(2, 8):
-        for chart in find_standard_charts(host, m):
+        for chart in find_standard_charts(host, m, 0):
             image = chart.image
             sides = {v for v in image if len(host.neighbors(v) & image) < 6}
             assert chart.core(0) == image

@@ -173,13 +173,13 @@ def test_a_memoised_derivation_runs_once_per_graph_and_argument(monkeypatch):
     real = charts.facets
     monkeypatch.setattr(charts, "facets", lambda g: runs.append(g) or real(g))
     g = gen_hex_patch(3).graph
-    twos, threes = find_standard_charts(g, 2), find_standard_charts(g, 3)
-    assert find_standard_charts(g, 2) is twos and find_standard_charts(g, 3) is threes
+    twos, threes = find_standard_charts(g, 2, 0), find_standard_charts(g, 3, 0)
+    assert find_standard_charts(g, 2, 0) is twos and find_standard_charts(g, 3, 0) is threes
     assert len(twos) != len(threes) and len(runs) == 2
     derive = find_standard_charts.__wrapped__
-    assert g._memo[derive, 2] is twos and g._memo[derive, 3] is threes
+    assert g._memo[derive, 2, 0] is twos and g._memo[derive, 3, 0] is threes
     fresh = gen_hex_patch(3).graph
-    assert [ch.key() for ch in find_standard_charts(fresh, 2)] == [ch.key() for ch in twos]
+    assert [ch.key() for ch in find_standard_charts(fresh, 2, 0)] == [ch.key() for ch in twos]
     assert len(runs) == 3
 
 

@@ -18,6 +18,7 @@ from cliquedyn.isomorphism import (
     _CanonSearch,
     _Partition,
     canonical_hash,
+    canonical_key,
     canonical_order,
     find_isomorphism,
     induced_embeddings,
@@ -31,6 +32,7 @@ from helpers import (
     cycle_graph,
     degree_seven_surface,
     genus2_surface,
+    reference_canonical_key,
     reference_queue_refine,
     reference_refine,
     to_networkx,
@@ -193,6 +195,20 @@ def test_each_iterate_is_labeled_once(monkeypatch, make, steps, runs):
     trace = iterate_k(make(), steps)
     assert (trace.verdict, trace.period) == ("converged", 2)
     assert len(calls) == len(trace.steps) == runs
+
+
+def test_canonical_key_is_the_sorted_edge_list_between_canonical_positions(t44):
+    graphs = [
+        Graph([]),
+        Graph(range(5)),
+        Graph([3, 9, 4], [(9, 3)]),
+        complete_graph(6),
+        t44,
+        clique_graph(clique_graph(t44)),
+        _shuffled(genus2_surface(), random.Random(3)),
+    ]
+    for g in graphs:
+        assert canonical_key(g) == reference_canonical_key(g)
 
 
 def test_hash_of_the_degree_seven_second_iterate_ignores_vertex_ids():
