@@ -14,6 +14,7 @@ import networkx as nx
 from cliquedyn import geometric
 from cliquedyn.charts import Chart, _fill_plan
 from cliquedyn.cliques import NODE_BUDGET
+from cliquedyn.covers import CoverError, CoveringMapReport
 from cliquedyn.generators import hex_torus
 from cliquedyn.graph import Graph, closed_neighbourhood
 from cliquedyn.hexgrid import UNIT_STEPS, Coord, sub
@@ -268,6 +269,47 @@ def reference_verify(host: Graph, n: int, margin: int, level_margin: int = 0) ->
     ).to_dict()
 
 
+def reference_validate_covering_map(
+    p: dict[int, int], source: Graph, target: Graph
+) -> CoveringMapReport:
+    """``covers.validate_covering_map`` as it was before the counting pass:
+    every source vertex is classified, and every inner one is checked pair
+    by pair.  The reference for its report, violations and errors."""
+    for v in source.vertices:
+        if v not in p or p[v] not in target:
+            raise CoverError(f"map does not cover vertex {v}")
+    stray = next((k for k in p if k not in source), None)
+    if stray is not None:
+        raise CoverError(f"projection key {stray} is not a vertex of the source graph")
+    for u, v in source.edges():
+        if p[v] not in target.neighbors(p[u]):
+            raise CoverError(f"not a homomorphism on edge ({u},{v})")
+
+    violations = []
+    checked = 0
+    for v in source.vertices:
+        if not classify_vertex(source, v).is_inner:
+            continue
+        checked += 1
+        nbrs = source.neighbors(v)
+        images = {p[w] for w in nbrs}
+        if len(images) != len(nbrs):
+            violations.append(f"edge lifting fails at {v}: neighbour images collide")
+            continue
+        if images != target.neighbors(p[v]):
+            violations.append(f"degree mismatch at {v}")
+            continue
+        for a in nbrs:
+            # p is injective on nbrs, so equal sets mean no pair (a, b) fails
+            if {p[b] for b in source.neighbors(a) & nbrs} != target.neighbors(p[a]) & images:
+                for b in nbrs:
+                    if a < b and source.has_edge(a, b) != target.has_edge(p[a], p[b]):
+                        violations.append(f"triangle lifting fails at {v} on ({a},{b})")
+    if not checked:
+        raise CoverError("source graph has no inner vertex to check")
+    return CoveringMapReport(True, checked, violations)
+
+
 def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:
     """Arc lengths cut by the walk in the neighbourhood of its i-th vertex.
 
@@ -350,9 +392,9 @@ def star_cut_antiprism(torus: Graph, pairs: list[tuple[int, int]], name: str) ->
 
 
 def genus2_surface() -> Graph:
-    """Genus-2, minimum degree 6, not 6-regular: one star-cut antiprism
-    pair on a 10x10 torus.  The result is validated locally cyclic by its
-    tests."""
+    """Named "genus 2", but non-orientable, χ = −2; minimum degree 6, not
+    6-regular: one star-cut antiprism pair on a 10x10 torus.  The result is
+    validated locally cyclic by its tests."""
     return star_cut_antiprism(hex_torus(10, 10), [(0, 55)], "genus2_delta6")
 
 
@@ -362,7 +404,8 @@ def degree_seven_surface() -> Graph:
     across the long direction.
 
     Every surviving vertex is the rim of exactly one surgery, so all
-    degrees are 7; the result has 84 vertices and Euler characteristic -14.
+    degrees are 7; the result has 84 vertices and is non-orientable,
+    χ = −14.
     """
     centres = [a * 14 + b for a in range(7) for b in range(7) if (a - 2 * b) % 7 == 0]
     return star_cut_antiprism(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquedyn import charts, cli, surface
+from cliquedyn import charts, cli, covers, surface
 from cliquedyn import io as gio
 from cliquedyn.geometric import GeoBuilder
 from cliquedyn.hexgrid import gen_hex_patch
@@ -105,6 +105,25 @@ def test_decide_and_cover_validate_read_through_the_traced_io_spans(monkeypatch,
         calls.clear()
         assert cli.main(argv) == 0
         assert calls["load_graph"] >= 1 and calls["graph_from_dict"] >= 1, argv
+
+
+def test_cover_validate_classifies_only_target_vertices(monkeypatch, tmp_path, t44):
+    """On a valid ball, ``cover validate`` classifies no lift and each base
+    vertex at most once.  ``surface.classify_vertex`` and
+    ``graph.induced_subgraph`` are required ``cover-decide`` spans, so both
+    must still be entered there."""
+    torus, ball = tmp_path / "t.json", tmp_path / "ball.json"
+    torus.write_text(gio.graph_to_json(t44))
+    assert cli.main(["cover", "build", str(torus), "--radius", "3", "--out", str(ball)]) == 0
+    classified, induced = [], []
+    classify, induce = covers.classify_vertex, surface.induced_subgraph
+    monkeypatch.setattr(covers, "classify_vertex", lambda g, v: classified.append((g, v)) or classify(g, v))
+    monkeypatch.setattr(surface, "induced_subgraph", lambda g, s: induced.append(s) or induce(g, s))
+    assert cli.main(["cover", "validate", str(ball), "--target", str(torus)]) == 0
+    assert all(g == t44 for g, _ in classified)
+    vertices = [v for _, v in classified]
+    assert 1 <= len(vertices) == len(set(vertices)) <= t44.n
+    assert induced
 
 
 def test_memoised_entry_points_count_every_call(monkeypatch, tracer):

@@ -7,6 +7,7 @@ from functools import partial
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cliquedyn.covers import (
     CoverError,
@@ -30,6 +31,7 @@ from helpers import (
     degree_seven_surface,
     genus2_surface,
     random_surgery_surface,
+    reference_validate_covering_map,
     to_networkx,
 )
 
@@ -345,3 +347,128 @@ def test_set_slot_refuses_an_edge_that_skips_a_layer():
     ):
         unf.set_slot(0, 2, 2)
     assert unf.arc[0] == {1: 1}
+
+
+def _outcome(validate, p, source, target):
+    """The report's dict and full violation list, or the CoverError message."""
+    try:
+        report = validate(p, source, target)
+    except CoverError as exc:
+        return "error", str(exc)
+    return report.to_dict(), report.violations
+
+
+def _assert_same_outcome(p, source, target):
+    """The counting pass and the classify-every-vertex reference agree."""
+    outcome = _outcome(validate_covering_map, p, source, target)
+    assert outcome == _outcome(reference_validate_covering_map, p, source, target)
+    return outcome
+
+
+def _torus_ball(r: int):
+    ball = universal_cover_ball(hex_torus(4, 4), 0, r)
+    return dict(ball.projection), ball.graph, hex_torus(4, 4)
+
+
+def _swapped():
+    p, source, target = _torus_ball(5)
+    p[0], p[1] = p[1], p[0]
+    return p, source, target
+
+
+def _remapped_to_neighbour():
+    p, source, target = _torus_ball(5)
+    p[7] = p[min(source.neighbors(7))]
+    return p, source, target
+
+
+def _dropped_edge():
+    p, source, target = _torus_ball(5)
+    edges = [e for e in source.edges() if e != (0, 1)]
+    return p, Graph(source.vertices, edges), target
+
+
+def _patch_into_patch(small: int, big: int):
+    src, dst = gen_hex_patch(small), gen_hex_patch(big)
+    return {v: dst.id_of[c] for v, c in src.coord_of.items()}, src.graph, dst.graph
+
+
+def _quotient_3x3():
+    patch = gen_hex_patch(2)
+    proj = {v: (c[0] % 3) * 3 + c[1] % 3 for v, c in patch.coord_of.items()}
+    return proj, patch.graph, _hex_quotient_3x3()
+
+
+def _surface_ball(name: str, r: int):
+    ball = _ball(name, r)
+    return ball.projection, ball.graph, SURFACES[name][0]()
+
+
+DIFFERENTIAL_CASES = {
+    "t44_ball5": (lambda: _torus_ball(5), "ok"),
+    "genus2_ball6": (lambda: _surface_ball("genus2", 6), "ok"),
+    "septic_ball4": (lambda: _surface_ball("septic", 4), "ok"),
+    "octahedron_fold": (lambda: ({0: 0, 1: 0, 2: 2, 3: 2, 4: 4, 5: 4}, octahedron(), octahedron()), "violations"),
+    "swapped_pair": (_swapped, "error"),
+    "remapped_to_neighbour": (_remapped_to_neighbour, "error"),
+    "dropped_edge": (_dropped_edge, "ok"),
+    "patch3_onto_itself": (lambda: _patch_into_patch(3, 3), "ok"),
+    "patch2_into_patch3": (lambda: _patch_into_patch(2, 3), "ok"),
+    "hex_quotient_3x3": (_quotient_3x3, "violations"),
+    "k3_identity": (lambda: ({v: v for v in range(3)}, complete_graph(3), complete_graph(3)), "error"),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_validate_covering_map_matches_the_reference(name):
+    """The counting pass returns the reference's report, every violation in
+    order, and the same CoverError message, on valid balls, targets with a
+    boundary or without cyclic links, and broken maps and sources."""
+    make, kind = DIFFERENTIAL_CASES[name]
+    outcome = _assert_same_outcome(*make())
+    if kind == "error":
+        assert outcome[0] == "error"
+    else:
+        assert outcome[0] != "error" and outcome[0]["ok"] == (kind == "ok"), outcome
+
+
+@st.composite
+def perturbed_torus_balls(draw):
+    """A radius-4 cover ball of the 4x4 torus with a few projection values
+    redrawn (onto any vertex, a neighbour's image, or a vertex adjacent to
+    every neighbour's image, which keeps a homomorphism), a few lifts and
+    edges dropped or added, and perhaps a chord added to the torus."""
+    p, source, target = _torus_ball(4)
+    edges, target_edges = set(source.edges()), set(target.edges())
+    for _ in range(draw(st.integers(1, 4))):
+        v = draw(st.sampled_from(sorted(p)))
+        nbrs = sorted({w for e in edges if v in e for w in e if w != v})
+        ops = ["image", "neighbour_image", "rehome", "drop_lift", "drop_edge", "add_edge", "chord"]
+        op = draw(st.sampled_from(ops))
+        homes = [t for t in target.vertices if all(p[w] in target.neighbors(t) for w in nbrs)]
+        if op == "image":
+            p[v] = draw(st.sampled_from(target.vertices))
+        elif op == "rehome" and homes:
+            p[v] = draw(st.sampled_from(homes))
+        elif op == "neighbour_image" and nbrs:
+            p[v] = p[draw(st.sampled_from(nbrs))]
+        elif op == "drop_lift" and len(p) > 1:
+            del p[v]
+            edges = {e for e in edges if v not in e}
+        elif op == "drop_edge" and nbrs:
+            w = draw(st.sampled_from(nbrs))
+            edges.discard((min(v, w), max(v, w)))
+        elif op == "add_edge":
+            w = draw(st.sampled_from(sorted(p)))
+            if w != v:
+                edges.add((min(v, w), max(v, w)))
+        elif op == "chord":
+            a, b = draw(st.lists(st.sampled_from(target.vertices), min_size=2, max_size=2, unique=True))
+            target_edges.add((min(a, b), max(a, b)))
+    return p, Graph(sorted(p), edges), Graph(target.vertices, target_edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_torus_balls())
+def test_validate_covering_map_matches_the_reference_on_perturbed_balls(case):
+    _assert_same_outcome(*case)
