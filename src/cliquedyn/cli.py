@@ -27,17 +27,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-# number of positional parameters each generator takes
-GENERATOR_PARAMS = {
-    "hex-patch": 1,
-    "delta": 1,
-    "nabla": 1,
-    "torus": 2,
-    "octahedron": 0,
-    "icosahedron": 0,
-}
-
-
 GRAPH_WRITERS = {"json": gio.graph_to_json, "dot": gio.to_dot, "text": gio.edge_list_text}
 
 
@@ -57,41 +46,44 @@ def _parse_basis(text: str):
     return table[text]
 
 
-def _int_param(kind: str, text: str) -> int:
+def _int_param(args, i: int) -> int:
+    text = args.params[i]
     try:
         return int(text)
     except ValueError:
-        raise GraphError(f"generator {kind} takes integer parameters, got {text!r}") from None
+        raise GraphError(f"generator {args.kind} takes integer parameters, got {text!r}") from None
+
+
+def _torus(args) -> Graph:
+    p, q = _int_param(args, 0), _int_param(args, 1)
+    if p < 4 or q < 4:
+        raise GraphError("torus sides must be at least 4")
+    return hex_torus(p, q)
+
+
+# kind -> (number of positional parameters, builder of the graph from the arguments)
+GENERATORS = {
+    "hex-patch": (1, lambda args: gen_hex_patch(_int_param(args, 0)).graph),
+    "delta": (1, lambda args: gen_delta(_int_param(args, 0)).graph),
+    "nabla": (
+        1,
+        lambda args: gen_nabla(args.params[0], _parse_basis(args.e) if args.e else None).graph,
+    ),
+    "torus": (2, _torus),
+    "octahedron": (0, lambda args: octahedron()),
+    "icosahedron": (0, lambda args: icosahedron()),
+}
 
 
 def cmd_generate(args) -> int:
-    kind = args.kind
-    if len(args.params) != GENERATOR_PARAMS[kind]:
+    count, build = GENERATORS[args.kind]
+    if len(args.params) != count:
         raise GraphError(
-            f"generator {kind} takes {GENERATOR_PARAMS[kind]} parameter(s),"
-            f" got {len(args.params)}"
+            f"generator {args.kind} takes {count} parameter(s), got {len(args.params)}"
         )
-    if args.e is not None and (kind, args.params) != ("nabla", ["1e"]):
+    if args.e is not None and (args.kind, args.params) != ("nabla", ["1e"]):
         raise GraphError("--e is a parameter of nabla 1e only")
-    if kind == "hex-patch":
-        g = gen_hex_patch(_int_param(kind, args.params[0])).graph
-    elif kind == "delta":
-        g = gen_delta(_int_param(kind, args.params[0])).graph
-    elif kind == "nabla":
-        e = _parse_basis(args.e) if args.e else None
-        g = gen_nabla(args.params[0], e).graph
-    elif kind == "torus":
-        p, q = (_int_param(kind, x) for x in args.params)
-        if p < 4 or q < 4:
-            raise GraphError("torus sides must be at least 4")
-        g = hex_torus(p, q)
-    elif kind == "octahedron":
-        g = octahedron()
-    elif kind == "icosahedron":
-        g = icosahedron()
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown generator {kind}")
-    _emit(GRAPH_WRITERS[args.format](g), args.out)
+    _emit(GRAPH_WRITERS[args.format](build(args)), args.out)
     return EXIT_OK
 
 
@@ -228,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("generate", help="emit a named graph")
-    p.add_argument("kind", choices=tuple(GENERATOR_PARAMS))
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("params", nargs="*", help="generator parameters")
     p.add_argument("--e", help="basis direction for nabla 1e (100|010|001)")
     add_output(p)

@@ -32,9 +32,8 @@ gluing order never skips a layer is checked, not proven.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .charts import find_standard_charts
 from .graph import Graph, GraphError, induced_subgraph
 from .io import graph_to_dict
 from .surface import classify_vertex, edge_links, validate_surface
@@ -180,17 +179,16 @@ def universal_cover_ball(g: Graph, base: int, r: int) -> CoverBall:
 
 @dataclass
 class CoveringMapReport:
-    is_homomorphism: bool
     checked_vertices: int
-    violations: list[str] = field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
-        return self.is_homomorphism and not self.violations
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
-            "is_homomorphism": self.is_homomorphism,
+            "is_homomorphism": True,  # any other map raises CoverError
             "checked_vertices": self.checked_vertices,
             "ok": self.ok,
             "violations": self.violations[:10],
@@ -264,7 +262,7 @@ def validate_covering_map(
                         violations.append(f"triangle lifting fails at {v} on ({a},{b})")
     if not checked:
         raise CoverError("source graph has no inner vertex to check")
-    return CoveringMapReport(True, checked, violations)
+    return CoveringMapReport(checked, violations)
 
 
 # -- decision procedure ------------------------------------------------------
@@ -317,16 +315,3 @@ def decide_finite(g: Graph) -> Verdict:
     return Verdict(
         "convergent", f"minimum degree {report.min_degree} >= 7", gates
     )
-
-
-def delta_embedding_bound(cb: CoverBall, m_max: int) -> int:
-    """Largest side length whose triangle embeds in the cover ball interior.
-
-    Returns m_max + 1 when even the side-(m_max) triangle embeds, meaning
-    no bound was observed at this radius.  This is an observation at a
-    finite radius, never a convergence certificate by itself."""
-    if cb.radius < m_max + 1:
-        raise CoverError(f"radius {cb.radius} too small for m_max {m_max}")
-    interior = cb.interior_graph()
-    best = next((m for m in range(m_max, 0, -1) if find_standard_charts(interior, m, 0)), 0)
-    return m_max + 1 if best == m_max else best

@@ -226,8 +226,10 @@ class _CanonSearch:
         self.best_fixed: tuple[int, ...] = ()
         self.best_traces: list[list[tuple]] = []
         self.path: list[list[tuple]] = []
-        # pairs (permutation, inverse permutation)
-        self.generators: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # automorphisms as permutations, without their inverses: a finite
+        # permutation's inverse is one of its powers, so an orbit is the
+        # closure of a vertex under the generators alone
+        self.generators: list[tuple[int, ...]] = []
 
     def run(self) -> list[int]:
         root = _Partition.unit(len(self.adj))
@@ -299,12 +301,9 @@ class _CanonSearch:
             perm = [0] * len(order)
             for i, v in enumerate(self.best_order):
                 perm[v] = order[i]
-            inv = [0] * len(perm)
-            for v, w in enumerate(perm):
-                inv[w] = v
-            pair = (tuple(perm), tuple(inv))
-            if pair not in self.generators:
-                self.generators.append(pair)
+            perm = tuple(perm)
+            if perm not in self.generators:
+                self.generators.append(perm)
         return next(d for d, (u, w) in enumerate(zip(fixed, self.best_fixed)) if u != w)
 
     def _cell_interchangeable(self, cell: list[int]) -> bool:
@@ -336,20 +335,20 @@ class _CanonSearch:
     ) -> bool:
         """Does v's orbit under the prefix-fixing generators touch a vertex
         already branched at this node?"""
-        gens = [gp for gp in self.generators if all(gp[0][u] == u for u in fixed)]
+        gens = [perm for perm in self.generators if all(perm[u] == u for u in fixed)]
         if not gens:
             return False
         seen = {v}
         frontier = [v]
         while frontier:
             u = frontier.pop()
-            for perm, inv in gens:
-                for w in (perm[u], inv[u]):
-                    if w in branched:
-                        return True
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
+            for perm in gens:
+                w = perm[u]
+                if w in branched:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         return False
 
 

@@ -27,6 +27,7 @@ from .surface import (
 )
 
 MAX_DISC_FACETS = 24  # the most facets in the disc a random walk bounds
+EXTENSION_TRIALS = 12  # the triangles of each side the chart-extension suite samples
 
 
 @dataclass
@@ -124,7 +125,7 @@ def lhg_suite() -> SuiteResult:
     return SuiteResult("lhg", ok, {"cliques": len(found), "sizes": sizes})
 
 
-def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> SuiteResult:
+def chart_extension_suite(radius: int = 8, seed: int = 7) -> SuiteResult:
     """Neighbour counts for interior triangles, and for each sampled
     triangle the images its chart extension realises (the six unit
     translates, plus the twisted copy at side 3) against the triangles
@@ -145,7 +146,7 @@ def chart_extension_suite(radius: int = 8, seed: int = 7, trials: int = 12) -> S
         if not supports:
             failures.append(f"no interior triangles of side {m}")
             continue
-        sample = rng.sample(sorted(supports, key=sorted), min(trials, len(supports)))
+        sample = rng.sample(sorted(supports, key=sorted), min(EXTENSION_TRIALS, len(supports)))
         expect = 7 if m == 3 else 6
         for sup in sample:
             nbrs = charts_mod.neighbour_triangles(g, sup)

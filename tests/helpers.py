@@ -307,7 +307,7 @@ def reference_validate_covering_map(
                         violations.append(f"triangle lifting fails at {v} on ({a},{b})")
     if not checked:
         raise CoverError("source graph has no inner vertex to check")
-    return CoveringMapReport(True, checked, violations)
+    return CoveringMapReport(checked, violations)
 
 
 def path_degree(g: Graph, walk: tuple[int, ...], i: int) -> frozenset[int]:

@@ -13,7 +13,6 @@ from cliquedyn.covers import (
     CoverError,
     _Unfolding,
     decide_finite,
-    delta_embedding_bound,
     universal_cover_ball,
     validate_covering_map,
 )
@@ -128,7 +127,7 @@ def test_validate_covering_map_flags_folding(octa):
     # fold antipodal pairs onto one triangle: a homomorphism, not a covering
     fold = {0: 0, 1: 0, 2: 2, 3: 2, 4: 4, 5: 4}
     report = validate_covering_map(fold, octa, octa)
-    assert report.is_homomorphism and not report.ok
+    assert report.to_dict()["is_homomorphism"] and not report.ok
     assert any("edge lifting" in v for v in report.violations)
 
 
@@ -160,7 +159,7 @@ def test_validate_covering_map_names_every_triangle_lifting_failure():
     patch = gen_hex_patch(2)
     proj = {v: (c[0] % 3) * 3 + c[1] % 3 for v, c in patch.coord_of.items()}
     report = validate_covering_map(proj, patch.graph, _hex_quotient_3x3())
-    assert report.is_homomorphism and report.checked_vertices == 7
+    assert report.to_dict()["is_homomorphism"] and report.checked_vertices == 7
     pairs = {
         4: "(0,9) (1,8) (3,5)",
         5: "(1,10) (2,9) (4,6)",
@@ -215,21 +214,6 @@ def test_degree_seven_surface_converges_with_period_two():
     assert trace.verdict == "converged"
     assert (trace.converged_at, trace.period) == (1, 2)
     assert [s.vertices for s in trace.steps[:4]] == [84, 196, 280, 196]
-
-
-def test_delta_embedding_bound_on_grid_cover(t44):
-    ball = universal_cover_ball(t44, base=0, r=8)
-    assert delta_embedding_bound(ball, 6) == 7  # everything embeds: no bound
-    assert delta_embedding_bound(ball, 0) == 1
-    with pytest.raises(CoverError):
-        delta_embedding_bound(ball, 9)
-
-
-def test_embedding_bound_reports_observation_only(genus2):
-    # this instance keeps flat regions wide enough that no bound is visible
-    # at radius 6; the sentinel m_max + 1 reports exactly that
-    ball = universal_cover_ball(genus2, base=genus2.vertices[0], r=6)
-    assert delta_embedding_bound(ball, 5) == 6
 
 
 GENERATED_SEEDS = (0, 1, 2, 3, 4)

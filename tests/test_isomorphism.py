@@ -463,3 +463,35 @@ def test_refinement_replays_the_queue_reference_call_for_call(monkeypatch):
         )
         assert _same_partition(part, ref)
 
+
+# -- orbit pruning by the generators alone ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "graph, leaves, nodes, digest",
+    [
+        *zip(
+            _iterates(lambda: hex_torus(4, 4), 8),
+            [6, 4, 4, 5, 4, 4, 5, 4, 4],
+            [17, 10, 10, 13, 7, 10, 13, 7, 10],
+            [
+                "efe4b6536f26", "caf124637bdd", "1771d16b5170", "b989c0608729",
+                "33adffddfbae", "eab24d39ccfa", "11ba2430ef6b", "a6f5d0c235b6",
+                "f59129fb3167",
+            ],
+        ),
+        (_iterates(octahedron, 3)[3], 1, 129, "996ac9df8cec"),
+    ],
+    ids=[f"torus4x4-k{i}" for i in range(9)] + ["octahedron-k3"],
+)
+def test_orbit_pruning_keeps_the_search_of_inverse_closed_generators(
+    monkeypatch, graph, leaves, nodes, digest
+):
+    # the counts and digests a search whose generators also held their
+    # inverses gave: an orbit is closed under the generators alone
+    counted = _counted_leaves(monkeypatch)
+    adj = _adjacency(graph)
+    search = _CanonSearch(adj)
+    search.run()
+    assert (len(counted), search.spent // (len(adj) + 1)) == (leaves, nodes)
+    assert canonical_hash(graph)[:12] == digest

@@ -40,7 +40,7 @@ def test_lhg_suite():
 
 
 def test_chart_extension_suite_small():
-    res = chart_extension_suite(radius=8, seed=3, trials=3)
+    res = chart_extension_suite(radius=8, seed=3)
     assert res.ok, res.detail
     assert res.detail["counts"] == {3: [7], 4: [6], 5: [6]}
 

@@ -1,20 +1,22 @@
 """Checks on the package source itself: every module uses what it imports,
-every top-level definition has a reader outside the tests, only
-``graph.py`` touches a graph's memo, every memoised function takes
-positional parameters only, and no function takes a search budget."""
+every top-level definition has a reader outside the tests, importing a
+module loads only the modules it reads, only ``graph.py`` touches a graph's
+memo, every memoised function takes positional parameters only, and no
+function takes a search budget."""
 
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cliquedyn"
-# the package's __init__ imports names to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 # the code that may read a package definition: the package itself, the
 # benchmark and the acceptance tests (the other tests hold oracles and
 # checks, which are no reason for a definition to live in the package)
@@ -23,10 +25,6 @@ READERS = [
     *sorted((ROOT / "perfbench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
-UNREAD_ALLOWED = {
-    # ROADMAP item 2 replaces it with the exact triangle spectrum
-    "delta_embedding_bound",
-}
 # the budgets that are module constants, read where they are spent
 BUDGET_PARAMETERS = {"budget", "node_budget", "max_facets"}
 
@@ -88,7 +86,23 @@ def test_every_definition_has_a_reader():
         [p.read_text() for p in READERS],
         (ROOT / "README.md").read_text(),
     )
-    assert [name for name in unread if name not in UNREAD_ALLOWED] == []
+    assert unread == []
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [("graph", ["graph"]), ("io", ["graph", "io"])],
+    ids=["graph", "io"],
+)
+def test_a_module_import_loads_only_what_it_reads(module, loaded):
+    """The package root re-exports nothing, so a module's import reaches
+    only the modules below it."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import cliquedyn.{module}; "
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'cliquedyn'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["cliquedyn", *(f"cliquedyn.{m}" for m in loaded)]
 
 
 def memo_accesses(source: str) -> list[int]:
@@ -144,7 +158,7 @@ def test_parameter_names_are_found():
     assert parameter_names(source) == set("abcdeh")
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_takes_a_budget(path):
     """The vertex budget of ``iterate_k`` is the one budget set per run."""
     assert parameter_names(path.read_text()) & BUDGET_PARAMETERS == set()
